@@ -74,6 +74,22 @@ def show(text: str) -> None:
     print("\n" + text + "\n")
 
 
+def machine_stamp() -> Dict[str, object]:
+    """Where a BENCH file was measured: platform, interpreter, numpy, CPUs."""
+    import platform
+
+    import numpy as np
+
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "processor": platform.processor(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def write_bench_report(
     path: str,
     payload: Dict[str, object],

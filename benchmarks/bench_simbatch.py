@@ -13,6 +13,10 @@ failures exit non-zero at any scale, they are the acceptance criterion:
    policy vs. with batching disabled.  Includes trace generation and
    post-processing, so it is the user-visible win (smaller than the
    engine ratio because trace generation is shared by both paths).
+3. **pooled** — the CASIO suite's traces through one engine call per
+   workload vs. one engine call over every workload's lanes (what
+   ``GpuSimulator.simulate_workloads`` does).  Pooling gives the
+   lock-step engine fewer, wider chunks.
 
 Usage::
 
@@ -35,14 +39,14 @@ from typing import Dict, List, Optional
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _shared import write_bench_report
+from _shared import machine_stamp, write_bench_report
 
 import numpy as np
 
 from repro.hardware import RTX_2080
 from repro.sim import BatchPolicy, GpuSimulator, execute_wave_batch
 from repro.sim.simulator import _EVENT_FIELDS
-from repro.workloads import load_workload
+from repro.workloads import load_suite, load_workload
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 
@@ -129,6 +133,43 @@ def bench_end_to_end(
     }
 
 
+def bench_pooled(suite: str, scale: float, seed: int) -> Dict[str, object]:
+    """One engine call per workload vs one call pooling every workload."""
+    sim = GpuSimulator(RTX_2080)
+    per_workload = [
+        [sim.tracer.generate(w.invocation(i), seed=seed) for i in range(len(w))]
+        for w in load_suite(suite, scale=scale, seed=0)
+    ]
+    policy = sim.batch_policy
+
+    def run(batches):
+        results, chunks = [], 0
+        for traces in batches:
+            pairs, report = execute_wave_batch(traces, sim.latencies, sim.config, policy)
+            results.extend(pairs)
+            chunks += report.chunks
+        return results, chunks
+
+    (separate, separate_chunks), separate_s = timed(lambda: run(per_workload))
+    pooled_traces = [t for traces in per_workload for t in traces]
+    (pooled, pooled_chunks), pooled_s = timed(lambda: run([pooled_traces]))
+    identical = len(separate) == len(pooled) and all(
+        sc == pc and ss.as_dict() == ps.as_dict()
+        for (sc, ss), (pc, ps) in zip(separate, pooled)
+    )
+    return {
+        "workload": f"{suite} ({len(per_workload)} workloads)",
+        "scale": scale,
+        "invocations": len(pooled_traces),
+        "per_workload_seconds": separate_s,
+        "pooled_seconds": pooled_s,
+        "speedup": (separate_s / pooled_s) if pooled_s > 0 else None,
+        "per_workload_chunks": separate_chunks,
+        "pooled_chunks": pooled_chunks,
+        "identical": identical,
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -152,12 +193,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             ("rodinia", "cfd", 0.1),
         ]
         e2e_specs = [("huggingface", "deit", 0.002), ("rodinia", "srad", 0.1)]
+        pooled_scale = 0.003
     elif args.quick:
         engine_specs = [
             ("rodinia", "cfd", 0.1),
             ("rodinia", "srad", 0.1),
         ]
         e2e_specs = [("rodinia", "srad", 0.1)]
+        pooled_scale = 0.001
     else:
         engine_specs = [
             ("huggingface", "gpt2", 0.002),
@@ -165,11 +208,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             ("huggingface", "resnet50", 0.002),
         ]
         e2e_specs = [("huggingface", "deit", 0.002)]
+        pooled_scale = 0.003
 
     report: Dict[str, object] = {
         "quick": bool(args.quick),
         "full": FULL,
         "cpu_count": os.cpu_count(),
+        "machine": machine_stamp(),
         "event_fields": len(_EVENT_FIELDS),
     }
 
@@ -197,17 +242,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     report["end_to_end"] = e2e_rows
 
+    pooled_row = bench_pooled("casio", pooled_scale, seed=0)
+    print(
+        f"pooled {pooled_row['workload']:24s} n={pooled_row['invocations']:5d} "
+        f"per-workload {pooled_row['per_workload_seconds']:6.2f}s "
+        f"({pooled_row['per_workload_chunks']} chunks) -> pooled "
+        f"{pooled_row['pooled_seconds']:6.2f}s ({pooled_row['pooled_chunks']} chunks, "
+        f"{pooled_row['speedup']:.2f}x) identical={pooled_row['identical']}"
+    )
+    report["pooled"] = pooled_row
+
     engine_speedup = geomean([row["speedup"] for row in engine_rows])
     e2e_speedup = geomean([row["speedup"] for row in e2e_rows])
     parity = all(
-        row["identical"] for row in engine_rows + e2e_rows
+        row["identical"] for row in engine_rows + e2e_rows + [pooled_row]
     )
     report["engine_speedup_geomean"] = engine_speedup
     report["end_to_end_speedup_geomean"] = e2e_speedup
     report["all_identical"] = parity
     print(
         f"engine speedup (geomean) {engine_speedup:.2f}x, "
-        f"end-to-end {e2e_speedup:.2f}x, parity={'OK' if parity else 'FAIL'}"
+        f"end-to-end {e2e_speedup:.2f}x, pooled {pooled_row['speedup']:.2f}x, "
+        f"parity={'OK' if parity else 'FAIL'}"
     )
 
     write_bench_report(
@@ -223,6 +279,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metrics={
             "sim_batch_speedup": engine_speedup,
             "sim_batch_e2e_speedup": e2e_speedup,
+            "sim_batch_pooled_speedup": pooled_row["speedup"],
             # Float on purpose: `repro obs check` metric floors skip bools.
             "sim_batch_parity": 1.0 if parity else 0.0,
         },

@@ -5,6 +5,9 @@ is bit-identical, with the determinism sanitizer on, in one process:
 
 * **scalar vs batch** — the same invocations through
   ``BatchPolicy(enabled=False)`` and an eagerly-batching policy;
+* **pooled vs per-workload** — two requests (the workload at two
+  seeds) through one ``simulate_workloads`` lane pool, against the
+  same requests simulated one at a time;
 * **cold vs warm** — a :class:`~repro.memo.SimResultCache` populated
   then re-read, both by the same simulator and by a fresh one opening
   the same directory (the cross-run path);
@@ -62,7 +65,7 @@ def add_detsan_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_phase(args) -> None:
-    """Scalar vs batch, then cold vs warm, on raw simulator output."""
+    """Scalar vs batch vs pooled, then cold vs warm, on simulator output."""
     from ..hardware import get_preset
     from ..memo import SimResultCache
     from ..sim import BatchPolicy, GpuSimulator
@@ -73,13 +76,20 @@ def _engine_phase(args) -> None:
         args.suite, args.workload, scale=args.scale, seed=args.seed
     )
 
+    seeds = (args.seed, args.seed + 1)
     with detsan.scope("engine=scalar"):
-        GpuSimulator(gpu, batch_policy=BatchPolicy(enabled=False)).simulate_workload(
-            workload, seed=args.seed
-        )
+        scalar = GpuSimulator(gpu, batch_policy=BatchPolicy(enabled=False))
+        for seed in seeds:
+            scalar.simulate_workload(workload, seed=seed)
     with detsan.scope("engine=batch"):
         GpuSimulator(gpu, batch_policy=BatchPolicy(min_width=2)).simulate_workload(
             workload, seed=args.seed
+        )
+    # Both seeds' lanes share one lock-step pool; each request must still
+    # match its own scalar run.
+    with detsan.scope("engine=pooled"):
+        GpuSimulator(gpu, batch_policy=BatchPolicy(min_width=2)).simulate_workloads(
+            [(workload, None, seed) for seed in seeds]
         )
 
     with tempfile.TemporaryDirectory(prefix="detsan-simcache-") as tmp:

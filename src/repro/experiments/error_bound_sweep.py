@@ -5,30 +5,35 @@ confidence level and records the speedup/error tradeoff.  The paper's
 reference points: eps=3% gave 0.18% error at 76.46x speedup; eps=25% gave
 2.00% error at 228.53x.
 
-Memoization: every epsilon point re-profiles, re-clusters and (in
-simulator-scored mode) re-simulates the *same* (workload, repetition)
-cells — only the acceptance test and sample allocation actually depend
-on epsilon.  Sequential sweeps therefore share one
-:class:`~repro.memo.SplitTreeCache` across points automatically
-(clustering each (workload, seed) once), and ``sim_cache`` +
-``ground_truth="sim"`` reuse raw simulation results across points, runs
-and processes.
+Memoization: every epsilon point re-profiles and re-clusters the *same*
+(workload, repetition) cells — only the acceptance test and sample
+allocation actually depend on epsilon.  Sequential sweeps therefore
+share one :class:`~repro.memo.SplitTreeCache` across points
+automatically (clustering each (workload, seed) once).  The simulator
+truth (``ground_truth="sim"``) does not depend on epsilon at all: it is
+computed once per cell before the first point — for the cycle tier as
+one pooled :meth:`~repro.sim.GpuSimulator.simulate_workloads` call over
+every cell — and every point is scored against that table.
+``sim_cache`` additionally reuses raw simulation results across runs and
+processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..analysis.metrics import harmonic_mean
 from ..memo import SimResultCache, SplitTreeCache
-from .runner import ExperimentConfig, run_suite
+from ..workloads import load_suite
+from .runner import ExperimentConfig, repetition_seed, run_suite
 
 __all__ = [
     "SweepPoint",
     "SimGroundTruth",
+    "TruthTable",
     "run_error_bound_sweep",
     "PAPER_FIGURE11",
     "DEFAULT_EPSILONS",
@@ -61,9 +66,10 @@ class SimGroundTruth:
 
     A picklable ``ground_truth`` hook for :func:`run_suite`: the truth
     becomes ``GpuSimulator.cycle_counts`` on the store's GPU at the
-    repetition seed.  With ``sim_cache_root`` set, raw per-invocation
-    results are cached on disk — every epsilon point and every re-run
-    reuses the same full-workload simulation instead of repeating it.
+    repetition seed.  :meth:`table` derives many cells at once (the
+    sweep's path).  With ``sim_cache_root`` set, raw per-invocation
+    results are cached on disk — every re-run reuses the same
+    full-workload simulation instead of repeating it.
 
     ``fidelity`` swaps the truth tier: ``"cycle"`` (default, the
     bit-identical legacy path) or ``"analytical"``/``"hybrid"`` screened
@@ -78,6 +84,16 @@ class SimGroundTruth:
     escalation_budget: float = 0.05
 
     def __call__(self, store, seed: int) -> np.ndarray:
+        return self.table([store.workload], [seed], store.config)(store, seed)
+
+    def table(self, workloads, seeds: Sequence[int], gpu) -> "TruthTable":
+        """The truth of every (workload, seed) cell, computed up front.
+
+        The cycle tier simulates all cells as one pooled
+        :meth:`~repro.sim.GpuSimulator.simulate_workloads` call, so the
+        lock-step engine runs a few wide chunks instead of one narrow
+        chunk set per cell.
+        """
         from ..sim import GpuSimulator  # lazy: keeps import graph light
 
         cache = (
@@ -85,23 +101,48 @@ class SimGroundTruth:
             if self.sim_cache_root is not None
             else None
         )
+        cells = [(workload, int(seed)) for workload in workloads for seed in seeds]
         if self.fidelity != "cycle":
             from ..core.fidelity import FidelityPolicy, fidelity_cycle_counts
 
-            times = fidelity_cycle_counts(
-                store.workload,
-                store.config,
-                seed=seed,
-                policy=FidelityPolicy(
-                    mode=self.fidelity,
-                    probe_count=self.probe_count,
-                    escalation_budget=self.escalation_budget,
-                ),
-                sim_cache=cache,
+            policy = FidelityPolicy(
+                mode=self.fidelity,
+                probe_count=self.probe_count,
+                escalation_budget=self.escalation_budget,
             )
-            return times.values
-        simulator = GpuSimulator(store.config, sim_cache=cache)
-        return simulator.cycle_counts(store.workload, seed=seed)
+            times = [
+                fidelity_cycle_counts(
+                    workload, gpu, seed=seed, policy=policy, sim_cache=cache
+                ).values
+                for workload, seed in cells
+            ]
+        else:
+            results = GpuSimulator(gpu, sim_cache=cache).simulate_workloads(
+                [(workload, None, seed) for workload, seed in cells]
+            )
+            times = [
+                np.array([r.cycles for r in result.kernel_results], dtype=np.float64)
+                for result in results
+            ]
+        return TruthTable({
+            (workload.name, seed): values
+            for (workload, seed), values in zip(cells, times)
+        })
+
+
+@dataclass(frozen=True)
+class TruthTable:
+    """Precomputed per-cell ground truth, keyed by (workload name, seed).
+
+    A picklable :func:`run_suite` ``ground_truth`` hook: scoring a plan
+    is a lookup, so every epsilon point (and every pool worker) reuses
+    the same truth instead of re-deriving it.
+    """
+
+    times: Dict[Tuple[str, int], np.ndarray]
+
+    def __call__(self, store, seed: int) -> np.ndarray:
+        return self.times[(store.workload.name, int(seed))]
 
 
 @dataclass(frozen=True)
@@ -135,8 +176,10 @@ def run_error_bound_sweep(
 
     ``ground_truth`` selects what plans are scored against:
     ``"profile"`` (default, the paper's Table 3 methodology),
-    ``"sim"`` (the cycle simulator, reusing ``sim_cache`` across
-    points and runs), or any custom :func:`run_suite`-style callable.
+    ``"sim"`` (the cycle simulator: each (workload, repetition) cell is
+    simulated once, before the first point, and ``sim_cache`` reuses
+    raw results across runs), or any custom :func:`run_suite`-style
+    callable.
 
     ``tree_cache`` shares ROOT candidate split trees across epsilon
     points; sequential sweeps create one automatically (epsilon is not
@@ -176,10 +219,16 @@ def run_error_bound_sweep(
             root = sim_cache.root
         elif sim_cache is not None:
             root = str(sim_cache)
+        # The truth does not depend on epsilon: derive every
+        # (workload, repetition) cell once, before the first point.
         truth_fn = SimGroundTruth(
             sim_cache_root=root,
             fidelity=fidelity,
             escalation_budget=escalation_budget,
+        ).table(
+            load_suite(suite, scale=config.workload_scale, seed=config.base_seed),
+            [repetition_seed(config, rep) for rep in range(config.repetitions)],
+            config.gpu,
         )
     else:
         raise ValueError(

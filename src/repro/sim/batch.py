@@ -5,8 +5,8 @@ inherently sequential *within* one trace — the single issue port orders
 every instruction — but kernel invocations are independent of each other:
 each gets its own L1/L2/DRAM state.  That makes "many invocations" a free
 SIMD axis.  This module converts a set of :class:`KernelTrace`s into
-structure-of-arrays form (per-warp program counters, ready times, op
-latencies and pre-resolved cache-line numbers padded to the widest trace)
+structure-of-arrays form (per-warp program counters, memory cursors and
+ready times; flat instruction kinds and pre-resolved cache-line numbers)
 and advances *all* waves in lock-step, one instruction per trace per
 step:
 
@@ -34,12 +34,22 @@ lanes form a suffix: the active set is always a zero-copy prefix slice.
 Lanes whose scaled cache would need a pathologically large dense tag
 array run through the scalar oracle instead (see
 ``BatchPolicy.max_lane_cache_bytes``); results are identical either way.
+
+Memory shape: the chunk is compact — unpadded ``int8`` kinds with a
+per-lane ``[lane, kind]`` latency row, a per-warp memory cursor, and
+``int32`` line numbers whenever every line of the chunk fits — and the
+input is streamed: each trace is packed into a small per-lane record as
+the iterable yields it and then dropped, so a caller that passes a
+generator never holds more than one trace at a time.  The
+``max_width`` / ``max_chunk_cache_bytes`` ceilings bound the whole
+chunk (caches and per-slot arrays), so pooling lanes from many
+workloads into wide chunks does not grow peak memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,7 +72,12 @@ _BIG = 1.0e300
 #: lane's associativity out of the LRU victim argmin.
 _IBIG = np.int64(2**62)
 
-_MEM_KINDS = (Op.LOAD, Op.STORE)
+#: Opcodes per latency row; ``Op.LOAD`` and ``Op.STORE`` are the two
+#: highest, so ``kind >= Op.LOAD`` detects a memory instruction.
+_N_KINDS = Op.STORE + 1
+
+#: Line numbers up to this fit the compact ``int32`` slot layout.
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
@@ -93,8 +108,10 @@ class BatchPolicy:
     #: dict-backed cache is sparse).  Keeps degenerate cache_scale
     #: values from allocating gigabytes.
     max_lane_cache_bytes: int = 8 << 20
-    #: Ceiling for one chunk's dense cache arrays; chunks close early
-    #: when the running (width x widest-geometry) product would pass it.
+    #: Ceiling for one chunk's memory — its dense cache arrays (padded
+    #: to the widest lane's geometry) plus its per-slot SoA arrays
+    #: (kinds, line numbers, per-warp state); a chunk closes before the
+    #: next lane would push it past this.
     max_chunk_cache_bytes: int = 256 << 20
 
     def memo_identity(self) -> str:
@@ -146,7 +163,9 @@ class _LaneCaches:
                  "stamps_flat", "fill", "hits", "assoc_per_set", "n_ways",
                  "n_sets_max")
 
-    def __init__(self, size_bytes: np.ndarray, line_bytes: int, associativity: int):
+    def __init__(
+        self, size_bytes: np.ndarray, line_bytes: int, associativity: int, tag_dtype
+    ):
         num_lines = np.maximum(1, size_bytes // line_bytes)
         assoc = np.minimum(associativity, num_lines)
         self.nsets = np.maximum(1, num_lines // assoc)
@@ -156,7 +175,9 @@ class _LaneCaches:
         n_ways = int(assoc.max())
         self.n_ways = n_ways
         self.n_sets_max = n_sets
-        self.tags = np.full((lanes * n_sets, n_ways), -1, dtype=np.int64)
+        # Tags share the chunk's line dtype, so the hit compare and the
+        # victim fill never convert.
+        self.tags = np.full((lanes * n_sets, n_ways), -1, dtype=tag_dtype)
         stamps = np.zeros((lanes, n_sets, n_ways), dtype=np.int64)
         pad_ways = np.arange(n_ways)[None, :] >= assoc[:, None]  # [lanes, ways]
         stamps += np.where(pad_ways, _IBIG, np.int64(0))[:, None, :]
@@ -171,12 +192,12 @@ class _LaneCaches:
         self.assoc_per_set = np.repeat(assoc, n_sets)
 
     @staticmethod
-    def dense_bytes(size_bytes: np.ndarray, line_bytes: int, associativity: int) -> np.ndarray:
-        """Per-lane dense tag+stamp footprint of the given geometry."""
-        num_lines = np.maximum(1, size_bytes // line_bytes)
-        assoc = np.minimum(associativity, num_lines)
-        nsets = np.maximum(1, num_lines // assoc)
-        return nsets * assoc * 16  # int64 tags + int64 stamps
+    def dense_bytes(size_bytes: int, line_bytes: int, associativity: int) -> int:
+        """One lane's dense tag+stamp footprint of the given geometry."""
+        num_lines = max(1, size_bytes // line_bytes)
+        assoc = min(associativity, num_lines)
+        nsets = max(1, num_lines // assoc)
+        return nsets * assoc * 16  # int64 tags (at most) + int64 stamps
 
     def access(self, lanes: np.ndarray, lines: np.ndarray, stamp: int) -> np.ndarray:
         """Access one line per lane; returns the hit mask.
@@ -211,73 +232,116 @@ class _LaneCaches:
         return hit
 
 
+def _cache_footprint(cache_scale: float, config) -> Tuple[Tuple[int, int], int]:
+    """Scaled (L1, L2) bytes — the expressions ``_execute_trace`` uses —
+    and the dense tag+stamp bytes one lane of them costs."""
+    line = config.cache_line_bytes
+    l1 = max(line * 2, int(config.l1_bytes_per_sm * cache_scale))
+    l2 = max(line * 4, int(config.l2_bytes * cache_scale))
+    dense = _LaneCaches.dense_bytes(l1, line, 8) + _LaneCaches.dense_bytes(l2, line, 16)
+    return (l1, l2), dense
+
+
+class _Lane:
+    """One trace packed for the SoA: what a chunk needs, and no more.
+
+    Each warp's kinds (``int8``) and cache-line numbers are concatenated
+    into one flat array per lane — no padding — with per-warp lengths
+    alongside.  Line numbers are ``int32`` when every line fits and
+    ``int64`` otherwise.  Packing lets the caller drop the trace (its
+    per-warp objects and byte addresses) as soon as it is generated.
+    """
+
+    __slots__ = ("kinds", "warp_len", "lines", "mem_len", "steps", "events",
+                 "efficiency", "cache_sizes", "cache_bytes")
+
+    def __init__(self, trace: KernelTrace, config, cache_sizes: Tuple[int, int],
+                 cache_bytes: int):
+        warps = trace.warps
+        self.kinds = np.concatenate([w.kinds for w in warps]).astype(np.int8, copy=False)
+        self.warp_len = np.array([len(w.kinds) for w in warps], dtype=np.int64)
+        lines = np.concatenate([w.addresses for w in warps]).astype(np.int64)
+        lines //= config.cache_line_bytes
+        if lines.size == 0 or (lines.min() >= 0 and lines.max() <= _INT32_MAX):
+            lines = lines.astype(np.int32)
+        self.lines = lines
+        self.mem_len = np.array([len(w.addresses) for w in warps], dtype=np.int64)
+        self.steps = len(self.kinds)
+        # Static event counts: every traced instruction issues exactly
+        # once, so per-kind totals never depend on timing.
+        self.events = np.bincount(self.kinds, minlength=_N_KINDS)
+        self.efficiency = float(trace.invocation.context.efficiency)
+        self.cache_sizes = cache_sizes
+        self.cache_bytes = cache_bytes
+
+    def slot_bytes(self) -> int:
+        """Chunk memory of this lane's slots: kinds, lines, warp state."""
+        return self.steps + self.lines.nbytes + 32 * len(self.warp_len)
+
+
 class _Chunk:
-    """Structure-of-arrays state for one lock-step chunk."""
+    """Structure-of-arrays state for one lock-step chunk.
+
+    Kinds and line numbers are flat concatenations over every (lane,
+    warp); each warp's program counter and memory cursor are absolute
+    positions into them, so the step loop reads a slot with one ``take``
+    and no index arithmetic.  Consumes ``lanes``: each entry is set to
+    ``None`` once copied in, so a record's memory is freed as the chunk
+    fills.
+    """
 
     __slots__ = (
-        "traces", "steps", "ready", "pcs", "warp_len", "lat", "memidx",
-        "addr_lines", "l1", "l2", "busy", "events", "instructions",
+        "steps", "ready", "pcs", "pc_end", "cursor", "kinds", "lat_rows",
+        "lines", "l1", "l2", "busy", "events",
     )
 
-    def __init__(self, traces: Sequence[KernelTrace], latencies: LatencyTable, config):
-        self.traces = traces
-        lanes = len(traces)
-        n_warps = max(len(t.warps) for t in traces)
-        n_instr = max(max(len(w.kinds) for w in t.warps) for t in traces)
-        n_mem = max(max(len(w.addresses) for w in t.warps) for t in traces)
+    def __init__(self, lanes: List[Optional[_Lane]], latencies: LatencyTable, config):
+        width = len(lanes)
+        n_warps = max(len(lane.warp_len) for lane in lanes)
+        efficiency = np.array([lane.efficiency for lane in lanes], dtype=np.float64)
+        sizes = np.array([lane.cache_sizes for lane in lanes], dtype=np.int64)
+        self.steps = np.array([lane.steps for lane in lanes], dtype=np.int64)
+        self.events = np.array([lane.events for lane in lanes], dtype=np.int64)
+        line_dtype = np.result_type(*(lane.lines.dtype for lane in lanes))
 
-        kinds = np.zeros((lanes, n_warps, n_instr), dtype=np.int8)
-        self.warp_len = np.zeros((lanes, n_warps), dtype=np.int64)
-        self.addr_lines = np.zeros((lanes, n_warps, max(n_mem, 1)), dtype=np.int64)
-        self.ready = np.full((lanes, n_warps), _BIG, dtype=np.float64)
-        line_bytes = config.cache_line_bytes
-        for b, trace in enumerate(traces):
-            for w, warp in enumerate(trace.warps):
-                k = len(warp.kinds)
-                kinds[b, w, :k] = warp.kinds
-                self.warp_len[b, w] = k
-                m = len(warp.addresses)
-                self.addr_lines[b, w, :m] = warp.addresses // line_bytes
-                self.ready[b, w] = 0.0
-        self.pcs = np.zeros((lanes, n_warps), dtype=np.int64)
-        self.steps = self.warp_len.sum(axis=1)
+        warp_len = np.zeros((width, n_warps), dtype=np.int64)
+        mem_len = np.zeros((width, n_warps), dtype=np.int64)
+        self.kinds = np.empty(int(self.steps.sum()), dtype=np.int8)
+        self.lines = np.empty(sum(len(lane.lines) for lane in lanes), dtype=line_dtype)
+        kind_at = line_at = 0
+        for b in range(width):
+            lane, lanes[b] = lanes[b], None
+            warp_len[b, : len(lane.warp_len)] = lane.warp_len
+            mem_len[b, : len(lane.mem_len)] = lane.mem_len
+            self.kinds[kind_at : kind_at + lane.steps] = lane.kinds
+            self.lines[line_at : line_at + len(lane.lines)] = lane.lines
+            kind_at += lane.steps
+            line_at += len(lane.lines)
+        # Warps are laid out lane-major, so an exclusive prefix sum of
+        # the per-warp lengths is each warp's first slot.
+        self.pcs = (np.cumsum(warp_len) - warp_len.ravel()).reshape(warp_len.shape)
+        self.pc_end = self.pcs + warp_len
+        self.cursor = (np.cumsum(mem_len) - mem_len.ravel()).reshape(mem_len.shape)
+        # Padded and empty warps are never ready, exactly as the scalar
+        # loop never issues from them.
+        self.ready = np.where(warp_len > 0, 0.0, _BIG)
 
-        # Latency per slot: compute kinds resolve now; memory kinds get
-        # NaN so the step loop can detect them with one isnan.  The
-        # division mirrors ``_compute_latency`` bit for bit.
+        # Per-lane latency row indexed by kind: compute kinds resolve now
+        # (the division mirrors ``_compute_latency`` bit for bit); memory
+        # kinds are NaN and always overwritten by the cache walk.
         lat = latencies
         base = np.array(
             [lat.fp32, lat.fp16, lat.int_alu, lat.sfu, lat.shared, lat.branch,
              np.nan, np.nan],
             dtype=np.float64,
         )
-        efficiency = np.array(
-            [t.invocation.context.efficiency for t in traces], dtype=np.float64
-        )
         denom = lat.ilp * np.maximum(efficiency, 1e-3)
-        self.lat = base[kinds] / denom[:, None, None]
+        self.lat_rows = base[None, :] / denom[:, None]
 
-        is_mem = (kinds == Op.LOAD) | (kinds == Op.STORE)
-        self.memidx = np.cumsum(is_mem, axis=2, dtype=np.int64) - is_mem
-
-        scales = np.array([t.cache_scale for t in traces], dtype=np.float64)
-        l1_bytes = np.maximum(
-            line_bytes * 2, (config.l1_bytes_per_sm * scales).astype(np.int64)
-        )
-        l2_bytes = np.maximum(
-            line_bytes * 4, (config.l2_bytes * scales).astype(np.int64)
-        )
-        self.l1 = _LaneCaches(l1_bytes, line_bytes, 8)
-        self.l2 = _LaneCaches(l2_bytes, line_bytes, 16)
-        self.busy = np.zeros(lanes, dtype=np.float64)
-
-        # Static event counts: every traced instruction issues exactly
-        # once, so per-kind totals never depend on timing.
-        self.events = np.zeros((lanes, 8), dtype=np.int64)
-        valid = np.arange(n_instr)[None, None, :] < self.warp_len[:, :, None]
-        lane_ids = np.broadcast_to(np.arange(lanes)[:, None, None], kinds.shape)[valid]
-        np.add.at(self.events, (lane_ids, kinds[valid].astype(np.int64)), 1)
-        self.instructions = self.steps.copy()
+        line_bytes = config.cache_line_bytes
+        self.l1 = _LaneCaches(sizes[:, 0], line_bytes, 8, line_dtype)
+        self.l2 = _LaneCaches(sizes[:, 1], line_bytes, 16, line_dtype)
+        self.busy = np.zeros(width, dtype=np.float64)
 
 
 def _dram_service_cycles(config) -> float:
@@ -303,12 +367,10 @@ def _run_chunk(
     at a fixed ~30 numpy calls per lock-step iteration the constant
     factor is the whole game.
     """
-    lanes = len(chunk.traces)
     steps = chunk.steps
+    lanes = len(steps)
     total = int(steps.max()) if lanes else 0
     n_warps = chunk.ready.shape[1]
-    n_instr = chunk.lat.shape[2]
-    n_mem = chunk.addr_lines.shape[2]
 
     # Active-lane count per step, precomputed: lanes are sorted by
     # descending step count, so the count still running at step t is a
@@ -318,10 +380,11 @@ def _run_chunk(
     ready = chunk.ready            # [lanes, W] — argmin runs on 2-D rows
     ready_flat = ready.reshape(-1)
     pcs_flat = chunk.pcs.reshape(-1)
-    lat_flat = chunk.lat.reshape(-1)
-    memidx_flat = chunk.memidx.reshape(-1)
-    addr_flat = chunk.addr_lines.reshape(-1)
-    warp_len_flat = chunk.warp_len.reshape(-1)
+    pc_end_flat = chunk.pc_end.reshape(-1)
+    cursor_flat = chunk.cursor.reshape(-1)
+    kinds = chunk.kinds
+    lat_rows_flat = chunk.lat_rows.reshape(-1)
+    lines_all = chunk.lines
     l1, l2 = chunk.l1, chunk.l2
     busy = chunk.busy
 
@@ -329,6 +392,8 @@ def _run_chunk(
     stall = np.zeros(lanes, dtype=np.float64)
     last_completion = np.zeros(lanes, dtype=np.float64)
     lane_range = np.arange(lanes)
+    row_base_all = lane_range * n_warps
+    kind_base_all = lane_range * _N_KINDS
 
     lat_tbl = latencies
     l1_latency = lat_tbl.l1_hit / lat_tbl.ilp
@@ -338,9 +403,8 @@ def _run_chunk(
 
     for t in range(total):
         active = int(active_at[t])
-        row_base = lane_range[:active] * n_warps
         w = ready[:active].argmin(axis=1)
-        flat_w = row_base + w
+        flat_w = row_base_all[:active] + w
         ready_w = ready_flat.take(flat_w)
         port_a = port[:active]
         issue = np.maximum(ready_w, port_a)
@@ -348,15 +412,14 @@ def _run_chunk(
         np.add(issue, 1.0, out=port_a)
 
         pc = pcs_flat.take(flat_w)
-        flat_pc = flat_w * n_instr + pc
-        lat = lat_flat.take(flat_pc)
-        mem = np.isnan(lat)
-        m = mem.nonzero()[0]  # == lane ids: the active set is a prefix
+        kind = kinds.take(pc)
+        lat = lat_rows_flat.take(kind_base_all[:active] + kind)
+        m = (kind >= Op.LOAD).nonzero()[0]  # == lane ids: the active set is a prefix
         if len(m):
             flat_w_m = flat_w.take(m)
-            lines = addr_flat.take(
-                flat_w_m * n_mem + memidx_flat.take(flat_pc.take(m))
-            )
+            slot = cursor_flat.take(flat_w_m)
+            cursor_flat[flat_w_m] = slot + 1
+            lines = lines_all.take(slot)
             now = issue.take(m)
             mem_lat = np.empty(len(m), dtype=np.float64)
             hit1 = l1.access(m, lines, t)
@@ -380,7 +443,7 @@ def _run_chunk(
         completion = issue + lat
         new_pc = pc + 1
         pcs_flat[flat_w] = new_pc
-        finished = new_pc >= warp_len_flat.take(flat_w)
+        finished = new_pc >= pc_end_flat.take(flat_w)
         ready_flat[flat_w] = np.where(finished, _BIG, completion)
         np.maximum(last_completion[:active], completion, out=last_completion[:active])
 
@@ -404,7 +467,7 @@ def _stats_for_lane(
     l2_hits = int(chunk.l2.hits[lane])
     l2_misses = l1_misses - l2_hits
     stats = SimStats(
-        instructions=int(chunk.instructions[lane]),
+        instructions=int(chunk.steps[lane]),
         fp32_ops=int(kind_counts[Op.FP32]),
         fp16_ops=int(kind_counts[Op.FP16]),
         int_ops=int(kind_counts[Op.INT]),
@@ -453,7 +516,7 @@ def _execute_scalar(trace: KernelTrace, latencies: LatencyTable, config) -> Tupl
 
 
 def execute_wave_batch(
-    traces: Sequence[KernelTrace],
+    traces: Iterable[KernelTrace],
     latencies: LatencyTable,
     config,
     policy: Optional[BatchPolicy] = None,
@@ -463,84 +526,86 @@ def execute_wave_batch(
     Results are returned in input order and are bit-identical to calling
     the scalar ``_execute_trace`` per trace.  The report carries the
     batching shape for ``sim.batch.*`` observability.
+
+    ``traces`` may be any iterable.  Each trace is packed into a compact
+    per-lane record as it arrives and is not referenced afterwards, so a
+    generator lets the caller stream traces in without holding them all
+    (only the first ``min_width - 1`` are kept, in case too few lanes
+    turn up to batch and they must run through the scalar oracle).
     """
     policy = policy or BatchPolicy()
     report = BatchExecReport()
-    results: List[Optional[Tuple[float, SimStats]]] = [None] * len(traces)
-    if not traces:
-        return [], report
-
-    line_bytes = config.cache_line_bytes
-    scales = np.array([t.cache_scale for t in traces], dtype=np.float64)
-    l1_sizes = np.maximum(
-        line_bytes * 2, (config.l1_bytes_per_sm * scales).astype(np.int64)
-    )
-    l2_sizes = np.maximum(
-        line_bytes * 4, (config.l2_bytes * scales).astype(np.int64)
-    )
-    lane_cost = (
-        _LaneCaches.dense_bytes(l1_sizes, line_bytes, 8)
-        + _LaneCaches.dense_bytes(l2_sizes, line_bytes, 16)
-    )
-
-    batchable: List[int] = []
-    for i, cost in enumerate(lane_cost):
-        if policy.enabled and int(cost) <= policy.max_lane_cache_bytes:
-            batchable.append(i)
-        else:
-            results[i] = _execute_scalar(traces[i], latencies, config)
+    results: Dict[int, Tuple[float, SimStats]] = {}
+    lanes: List[Optional[_Lane]] = []
+    positions: List[int] = []
+    held: List[Tuple[int, KernelTrace]] = []
+    floor = max(2, policy.min_width)
+    count = 0
+    for pos, trace in enumerate(traces):
+        count += 1
+        sizes, cache_bytes = _cache_footprint(trace.cache_scale, config)
+        if not policy.enabled or cache_bytes > policy.max_lane_cache_bytes:
+            results[pos] = _execute_scalar(trace, latencies, config)
             report.scalar_lanes += 1
+            continue
+        lanes.append(_Lane(trace, config, sizes, cache_bytes))
+        positions.append(pos)
+        if len(lanes) < floor:
+            held.append((pos, trace))
+        elif held:
+            held.clear()
 
-    if len(batchable) < max(2, policy.min_width):
-        for i in batchable:
-            results[i] = _execute_scalar(traces[i], latencies, config)
+    if len(lanes) < floor:
+        for pos, trace in held:
+            results[pos] = _execute_scalar(trace, latencies, config)
             report.scalar_lanes += 1
-        return [r for r in results], report  # type: ignore[misc]
+        return [results[pos] for pos in range(count)], report
 
     # Sort by total instruction count, descending, so finished lanes are
     # always a suffix of each chunk (active set = prefix slice).
-    steps = np.array(
-        [sum(len(w.kinds) for w in traces[i].warps) for i in batchable], dtype=np.int64
-    )
-    order = sorted(range(len(batchable)), key=lambda j: (-int(steps[j]), j))
+    order = sorted(range(len(lanes)), key=lambda j: (-lanes[j].steps, j))
 
-    # Greedy chunking under the width and dense-cache-memory ceilings.
+    # Greedy chunking under the width and chunk-memory ceilings.
     chunks: List[List[int]] = []
     current: List[int] = []
-    current_max_cost = 0
+    cache_peak = slot_total = 0
     for j in order:
-        idx = batchable[j]
-        cost = int(lane_cost[idx])
-        new_max = max(current_max_cost, cost)
+        lane = lanes[j]
+        # Dense caches pad every lane to the widest geometry; slots are flat.
+        cache_peak = max(cache_peak, lane.cache_bytes)
+        slot_total += lane.slot_bytes()
         if current and (
             len(current) >= policy.max_width
-            or (len(current) + 1) * new_max > policy.max_chunk_cache_bytes
+            or (len(current) + 1) * cache_peak + slot_total
+            > policy.max_chunk_cache_bytes
         ):
             chunks.append(current)
             current = []
-            new_max = cost
-        current.append(idx)
-        current_max_cost = new_max
+            cache_peak, slot_total = lane.cache_bytes, lane.slot_bytes()
+        current.append(j)
     if current:
         chunks.append(current)
 
     padded_steps = 0
     useful_steps = 0
-    for chunk_indices in chunks:
-        chunk_traces = [traces[i] for i in chunk_indices]
-        chunk = _Chunk(chunk_traces, latencies, config)
+    line_bytes = config.cache_line_bytes
+    for chunk_lanes in chunks:
+        members = [lanes[j] for j in chunk_lanes]
+        for j in chunk_lanes:
+            lanes[j] = None  # ``members`` is the last reference; _Chunk drops it
+        chunk = _Chunk(members, latencies, config)
         wave_cycles, stall = _run_chunk(chunk, latencies, config)
-        for lane, idx in enumerate(chunk_indices):
+        for lane, j in enumerate(chunk_lanes):
             stats = _stats_for_lane(
                 chunk, lane, float(wave_cycles[lane]), float(stall[lane]), line_bytes
             )
-            results[idx] = (float(wave_cycles[lane]), stats)
-        report.batched_lanes += len(chunk_indices)
+            results[positions[j]] = (float(wave_cycles[lane]), stats)
+        report.batched_lanes += len(chunk_lanes)
         report.chunks += 1
-        longest = int(chunk.steps.max())
-        padded_steps += longest * len(chunk_indices)
+        padded_steps += int(chunk.steps.max()) * len(chunk_lanes)
         useful_steps += int(chunk.steps.sum())
+        del chunk  # free this chunk's arrays before the next one is built
 
     if padded_steps:
         report.fill_ratio = useful_steps / padded_steps
-    return [r for r in results], report  # type: ignore[misc]
+    return [results[pos] for pos in range(count)], report

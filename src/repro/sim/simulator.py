@@ -24,7 +24,7 @@ design (the scaled address space differs per kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -249,42 +249,54 @@ class GpuSimulator:
             f"|warmup={self.warmup!r}"
         )
 
-    def _raw_invocation(self, workload: Workload, index: int, seed: int) -> RawKernelSim:
-        """Raw (unscaled) simulation of one invocation — the pure core."""
-        trace = self.tracer.generate(workload.invocation(index), seed=seed)
-        wave_cycles, stats = self._execute_trace(trace)
+    @staticmethod
+    def _raw(wave_cycles: float, extrapolation: float, stats: SimStats) -> RawKernelSim:
+        """Pack one wave's unscaled outputs as a cacheable raw result."""
         return RawKernelSim(
             wave_cycles=float(wave_cycles),
-            extrapolation=float(trace.extrapolation),
+            extrapolation=float(extrapolation),
             stall_cycles=float(stats.stall_cycles),
             events=np.array(
                 [getattr(stats, f) for f in _EVENT_FIELDS], dtype=np.int64
             ),
         )
 
-    def _raw_invocations(
-        self, workload: Workload, indices: List[int], seed: int
-    ) -> List[RawKernelSim]:
-        """Raw simulations for ``indices``, in order.
+    def _raw_invocation(self, workload: Workload, index: int, seed: int) -> RawKernelSim:
+        """Raw (unscaled) simulation of one invocation — the pure core."""
+        trace = self.tracer.generate(workload.invocation(index), seed=seed)
+        wave_cycles, stats = self._execute_trace(trace)
+        return self._raw(wave_cycles, trace.extrapolation, stats)
 
-        Multi-invocation requests run through the batched
-        structure-of-arrays engine (:func:`execute_wave_batch`) when the
-        policy allows; results are bit-identical to the scalar
-        per-invocation loop, which remains both the fallback (single
-        index, warmup attached, batching disabled) and the oracle the
-        parity suite checks against.
+    def _raw_invocations(
+        self, lanes: Sequence[Tuple[Workload, int, int]]
+    ) -> List[RawKernelSim]:
+        """Raw simulations of (workload, index, seed) lanes, in order.
+
+        Lanes may come from any number of workloads and seeds: they run
+        through the batched structure-of-arrays engine
+        (:func:`execute_wave_batch`) as one pool when the policy allows.
+        Traces are generated lazily and packed by the engine as they
+        arrive, so the pool never holds every trace at once.  Results are
+        bit-identical to the scalar per-invocation loop, which remains
+        both the fallback (single lane, warmup attached, batching
+        disabled) and the oracle the parity suite checks against.
         """
         policy = self.batch_policy
-        if not (policy.enabled and self.warmup is None and len(indices) > 1):
+        if not (policy.enabled and self.warmup is None and len(lanes) > 1):
             return [
-                self._raw_invocation(workload, index, seed) for index in indices
+                self._raw_invocation(workload, index, seed)
+                for workload, index, seed in lanes
             ]
-        traces = [
-            self.tracer.generate(workload.invocation(index), seed=seed)
-            for index in indices
-        ]
+        extrapolations: List[float] = []
+
+        def traces():
+            for workload, index, seed in lanes:
+                trace = self.tracer.generate(workload.invocation(index), seed=seed)
+                extrapolations.append(trace.extrapolation)
+                yield trace
+
         pairs, report = execute_wave_batch(
-            traces, self.latencies, self.config, policy
+            traces(), self.latencies, self.config, policy
         )
         if obs.is_enabled():
             obs.inc("sim.batch.calls")
@@ -294,24 +306,9 @@ class GpuSimulator:
             obs.observe("sim.batch.width", float(report.batched_lanes))
             obs.observe("sim.batch.fill_ratio", float(report.fill_ratio))
         return [
-            RawKernelSim(
-                wave_cycles=float(wave_cycles),
-                extrapolation=float(trace.extrapolation),
-                stall_cycles=float(stats.stall_cycles),
-                events=np.array(
-                    [getattr(stats, f) for f in _EVENT_FIELDS], dtype=np.int64
-                ),
-            )
-            for trace, (wave_cycles, stats) in zip(traces, pairs)
+            self._raw(wave_cycles, extrapolation, stats)
+            for extrapolation, (wave_cycles, stats) in zip(extrapolations, pairs)
         ]
-
-    @staticmethod
-    def _stats_from_raw(raw: RawKernelSim) -> SimStats:
-        """Fresh mutable stats per result slot (post-processing mutates)."""
-        stats = SimStats(stall_cycles=raw.stall_cycles)
-        for j, field_name in enumerate(_EVENT_FIELDS):
-            setattr(stats, field_name, int(raw.events[j]))
-        return stats
 
     # -- workloads ---------------------------------------------------------
     def simulate_workload(
@@ -323,128 +320,165 @@ class GpuSimulator:
     ) -> WorkloadSimResult:
         """Simulate the workload (or the subset ``indices``), in order.
 
-        Batched end to end: wave simulation of the not-yet-cached
-        invocations runs through the structure-of-arrays lock-step
-        engine (:mod:`repro.sim.batch`), and noise, launch overhead,
-        extrapolation scaling, counter rounding and aggregation are
-        single array operations over all invocations.  Results are
-        bit-identical to calling :meth:`simulate_invocation` per index —
-        each lock-step lane performs the same IEEE ops in the same order
-        as the scalar event loop, and the post-processing is the same
+        The one-request case of :meth:`simulate_workloads`; see there.
+        """
+        return self.simulate_workloads([(workload, indices, seed)], dedup=dedup)[0]
+
+    def simulate_workloads(
+        self,
+        requests: Iterable[Tuple[Workload, Optional[Iterable[int]], int]],
+        dedup: bool = True,
+    ) -> List[WorkloadSimResult]:
+        """Simulate several ``(workload, indices, seed)`` requests at once.
+
+        ``indices=None`` means the whole workload.  Each request gets the
+        same result :meth:`simulate_workload` would give it alone, in
+        request order; what is shared is the engine: the not-yet-cached
+        invocations of *every* request run through the
+        structure-of-arrays lock-step engine (:mod:`repro.sim.batch`) as
+        one lane pool, so many small workloads fill a few wide chunks
+        instead of many narrow ones.  Noise, launch overhead,
+        extrapolation scaling, counter rounding and aggregation are then
+        single array operations per request.  Results are bit-identical
+        to calling :meth:`simulate_invocation` per index — each
+        lock-step lane performs the same IEEE ops in the same order as
+        the scalar event loop, and the post-processing is the same
         arithmetic applied elementwise.
 
-        With ``dedup=True`` (the default) repeated indices — routine for
-        with-replacement sampling plans — are simulated once and their
-        raw results gathered back per slot; when a
-        :class:`~repro.memo.SimResultCache` is attached, unique
+        With ``dedup=True`` (the default) repeated indices within a
+        request — routine for with-replacement sampling plans — are
+        simulated once and their raw results gathered back per slot;
+        when a :class:`~repro.memo.SimResultCache` is attached, unique
         invocations already simulated by an earlier call, process or run
-        are reused from the cache.  Both reuse paths feed the identical
-        vectorized post-processing below, so every result and aggregate
-        stays bit-for-bit equal to ``dedup=False``.
+        are reused from the cache, and each request's results are stored
+        under its own (context, index list) entry.  Both reuse paths feed
+        the identical vectorized post-processing, so every result and
+        aggregate stays bit-for-bit equal to ``dedup=False``.
         """
-        if indices is None:
-            indices = range(len(workload))
-        index_list = [int(i) for i in indices]
-        n = len(index_list)
-        aggregate = SimStats()
-        with obs.span("sim.workload", workload=workload.name) as sp:
+        requests = [
+            (
+                workload,
+                list(range(len(workload))) if indices is None
+                else [int(i) for i in indices],
+                int(seed),
+            )
+            for workload, indices, seed in requests
+        ]
+        names = ",".join(dict.fromkeys(workload.name for workload, _, _ in requests))
+        with obs.span("sim.workload", workload=names) as sp:
             # Fault decisions are pure functions of (plan seed, index,
             # attempt), so checking every index upfront raises the same
             # first failure as the interleaved loop — without paying for
             # the simulations ahead of it.
             if self.fault_injector is not None:
-                for index in index_list:
-                    self.fault_injector.check_simulation(index, 1)
+                for _, index_list, _ in requests:
+                    for index in index_list:
+                        self.fault_injector.check_simulation(index, 1)
 
-            if dedup:
-                draws = collapse_draws(index_list)
-                unique_list = [int(i) for i in draws.unique]
-                obs.inc("memo.dedup.draws", draws.num_draws)
-                obs.inc("memo.dedup.collapsed", draws.collapsed)
-                raw_by_index = {}
-                missing = unique_list
-                context = None
-                if self.sim_cache is not None and unique_list:
-                    context = self.sim_cache.context_for(
-                        workload, self.config, seed, self.memo_identity()
-                    )
-                    raw_by_index, missing = self.sim_cache.load(context, unique_list)
-                for index, raw in zip(
-                    missing, self._raw_invocations(workload, missing, seed)
-                ):
-                    raw_by_index[index] = raw
-                if self.sim_cache is not None and missing:
-                    self.sim_cache.store(context, unique_list, raw_by_index)
-                executed = len(missing)
-                raws = [raw_by_index[index] for index in index_list]
-            else:
-                raws = self._raw_invocations(workload, index_list, seed)
-                executed = n
+            # Per request: raw results already known, and what to run.
+            plans = []
+            identity = self.memo_identity() if self.sim_cache is not None else ""
+            for workload, index_list, seed in requests:
+                found: Dict[int, RawKernelSim] = {}
+                unique, missing, context = index_list, index_list, None
+                if dedup:
+                    draws = collapse_draws(index_list)
+                    unique = missing = [int(i) for i in draws.unique]
+                    obs.inc("memo.dedup.draws", draws.num_draws)
+                    obs.inc("memo.dedup.collapsed", draws.collapsed)
+                    if self.sim_cache is not None and unique:
+                        context = self.sim_cache.context_for(
+                            workload, self.config, seed, identity
+                        )
+                        found, missing = self.sim_cache.load(context, unique)
+                plans.append((unique, found, missing, context))
 
-            wave_list: List[float] = [raw.wave_cycles for raw in raws]
-            extrap_list: List[float] = [raw.extrapolation for raw in raws]
-            stats_list: List[SimStats] = [self._stats_from_raw(raw) for raw in raws]
-            # Vectorized replication of the per-index keyed generators;
-            # bit-identical to calling ``_noise_factor`` per slot (see
-            # :mod:`repro.sim.noise`).
-            noise_arr = noise_factors(seed, index_list, self.noise)
-            sp.attrs["kernels"] = n
+            fresh = iter(self._raw_invocations([
+                (workload, index, seed)
+                for (workload, _, seed), plan in zip(requests, plans)
+                for index in plan[2]
+            ]))
+
+            results = []
+            executed = 0
+            for (workload, index_list, seed), (unique, found, missing, context) in zip(
+                requests, plans
+            ):
+                if dedup:
+                    raw_by_index = dict(found)
+                    raw_by_index.update((index, next(fresh)) for index in missing)
+                    if context is not None and missing:
+                        self.sim_cache.store(context, unique, raw_by_index)
+                    raws = [raw_by_index[index] for index in index_list]
+                else:
+                    raws = [next(fresh) for _ in missing]
+                executed += len(missing)
+                results.append(self._finish(workload, index_list, seed, raws))
+            sp.attrs["kernels"] = sum(len(index_list) for _, index_list, _ in requests)
             sp.attrs["kernels_simulated"] = executed
-
-            if n:
-                waves = np.asarray(wave_list, dtype=np.float64)
-                extraps = np.asarray(extrap_list, dtype=np.float64)
-                noises = noise_arr
-                launch = (
-                    self.config.launch_overhead_us * self.config.cycles_per_us()
-                )
-                cycles = (waves * extraps + launch) * noises
-                events = np.array(
-                    [[getattr(s, f) for f in _EVENT_FIELDS] for s in stats_list],
-                    dtype=np.float64,
-                )
-                # np.round is half-to-even, exactly like the scalar path's
-                # ``int(round(...))``.
-                scaled = np.round(events * extraps[:, None]).astype(np.int64)
-            else:
-                cycles = np.empty(0, dtype=np.float64)
-                scaled = np.empty((0, len(_EVENT_FIELDS)), dtype=np.int64)
-
-            results: List[KernelSimResult] = []
-            for i, (index, stats) in enumerate(zip(index_list, stats_list)):
-                for j, field_name in enumerate(_EVENT_FIELDS):
-                    setattr(stats, field_name, int(scaled[i, j]))
-                stats.stall_cycles *= extrap_list[i]
-                kernel_cycles = float(cycles[i])
-                stats.cycles = kernel_cycles
-                results.append(
-                    KernelSimResult(
-                        invocation_index=index,
-                        cycles=kernel_cycles,
-                        wave_cycles=wave_list[i],
-                        extrapolation=extrap_list[i],
-                        stats=stats,
-                    )
-                )
             # Counts wave simulations actually run (deduped/cached reuse
-            # is free); per-slot cycles still land in the histogram below.
+            # is free); per-slot cycles land in the histogram.
             obs.inc("sim.kernels_executed", executed)
-            if obs.is_enabled():
-                for kernel_cycles in cycles:
-                    obs.observe("sim.kernel_cycles", float(kernel_cycles))
+        return results
 
+    def _finish(
+        self, workload: Workload, index_list: List[int], seed: int,
+        raws: List[RawKernelSim],
+    ) -> WorkloadSimResult:
+        """Post-process one request's raw results into its final result."""
+        n = len(index_list)
+        # Vectorized replication of the per-index keyed generators;
+        # bit-identical to calling ``_noise_factor`` per slot (see
+        # :mod:`repro.sim.noise`).
+        noises = noise_factors(seed, index_list, self.noise)
+
+        if n:
+            waves = np.array([raw.wave_cycles for raw in raws], dtype=np.float64)
+            extraps = np.array([raw.extrapolation for raw in raws], dtype=np.float64)
+            launch = self.config.launch_overhead_us * self.config.cycles_per_us()
+            cycles = (waves * extraps + launch) * noises
+            events = np.array([raw.events for raw in raws], dtype=np.float64)
+            # np.round is half-to-even, exactly like the scalar path's
+            # ``int(round(...))``.
+            scaled = np.round(events * extraps[:, None]).astype(np.int64)
+        else:
+            cycles = np.empty(0, dtype=np.float64)
+            scaled = np.empty((0, len(_EVENT_FIELDS)), dtype=np.int64)
+
+        results: List[KernelSimResult] = []
+        for i, (index, raw) in enumerate(zip(index_list, raws)):
+            # Fresh stats per slot: callers may mutate them.
+            stats = SimStats(
+                cycles=float(cycles[i]),
+                stall_cycles=raw.stall_cycles * raw.extrapolation,
+                **dict(zip(_EVENT_FIELDS, scaled[i].tolist())),
+            )
+            results.append(
+                KernelSimResult(
+                    invocation_index=index,
+                    cycles=stats.cycles,
+                    wave_cycles=raw.wave_cycles,
+                    extrapolation=raw.extrapolation,
+                    stats=stats,
+                )
+            )
+        if obs.is_enabled():
+            for kernel_cycles in cycles:
+                obs.observe("sim.kernel_cycles", float(kernel_cycles))
+
+        aggregate = SimStats()
         if n:
             totals = scaled.sum(axis=0)
             for j, field_name in enumerate(_EVENT_FIELDS):
                 setattr(aggregate, field_name, int(totals[j]))
-            aggregate.stall_cycles = float(sum(s.stall_cycles for s in stats_list))
+            aggregate.stall_cycles = float(sum(r.stats.stall_cycles for r in results))
         aggregate.cycles = float(sum(r.cycles for r in results))
         if detsan.is_enabled():
             # Sync point: per-invocation cycles and scaled counters must
             # be bit-identical across engine configs (scalar vs batch,
-            # cold vs warm cache, dedup on/off).  The key is engine-
-            # invariant; the "cycle" family tag keeps these recordings
-            # disjoint from the analytical tier's.
+            # pooled vs per-workload, cold vs warm cache, dedup on/off).
+            # The key is engine-invariant; the "cycle" family tag keeps
+            # these recordings disjoint from the analytical tier's.
             tag = (
                 f"sim.cycle|{workload.name}|seed={seed}"
                 f"|idx={detsan.index_digest(index_list)}"

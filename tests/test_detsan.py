@@ -193,6 +193,13 @@ class TestCli:
         assert "0 divergence(s)" in out
         assert "bit-identical" in out
 
+    def test_smoke_cross_checks_pooled_lanes(self, capsys):
+        """With a fault on the pooled seed's key, the pooled scope is the
+        one that diverges from its per-workload recording."""
+        assert main(["detsan", "--skip-grid", "--fault", "seed=1|"]) == 1
+        out = capsys.readouterr().out
+        assert "[engine=scalar]" in out and "[engine=pooled]" in out
+
     def test_smoke_full_grid_clean(self, capsys):
         assert main(["detsan"]) == 0
         capsys.readouterr()

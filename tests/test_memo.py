@@ -432,6 +432,34 @@ class TestSweepMemo:
         )
         assert uncached == cached
 
+    def test_sim_truth_simulates_each_cell_once(self):
+        """The sim truth is epsilon-independent: with no sim cache, every
+        (workload, repetition) cell is simulated once, not once per point."""
+        from repro import obs
+        from repro.workloads import load_suite
+
+        config = self.sweep_config()
+        with obs.scoped() as session:
+            sequential = run_error_bound_sweep(
+                self.EPSILONS, config=config, suite="rodinia", ground_truth="sim",
+            )
+            simulated = sum(
+                span.attrs.get("kernels_simulated", 0)
+                for span in session.tracer.finished()
+                if span.name == "sim.workload"
+            )
+        launches = sum(
+            len(w)
+            for w in load_suite(
+                "rodinia", scale=config.workload_scale, seed=config.base_seed
+            )
+        )
+        assert simulated == launches * config.repetitions
+        parallel = run_error_bound_sweep(
+            self.EPSILONS, config=config, suite="rodinia", ground_truth="sim", jobs=2,
+        )
+        assert parallel == sequential
+
     def test_replace_preserves_every_config_field(self, monkeypatch):
         from types import SimpleNamespace
 
@@ -475,6 +503,20 @@ class TestSweepMemo:
 
         truth = SimGroundTruth(sim_cache_root=str(tmp_path / "sim"))
         assert pickle.loads(pickle.dumps(truth)) == truth
+
+    def test_truth_table_matches_per_cell_truth(self):
+        import pickle
+
+        workload = small_workload()
+        truth = SimGroundTruth()
+        table = pickle.loads(pickle.dumps(truth.table([workload], [1, 2], RTX_2080)))
+        for seed in (1, 2):
+            store = ProfileStore(workload, RTX_2080, seed=seed)
+            assert np.array_equal(table(store, seed), truth(store, seed))
+            assert np.array_equal(
+                table(store, seed),
+                GpuSimulator(RTX_2080).cycle_counts(workload, seed=seed),
+            )
 
 
 class TestResilienceMemo:
@@ -541,7 +583,10 @@ class TestMemoCli:
         assert "memo:" in captured.err
         payload = json.loads(out.read_text())
         assert [p["epsilon"] for p in payload["points"]] == [0.05, 0.25]
-        assert payload["memo"]["sim_cache"]["hits"] > 0  # 2nd eps reuses
+        # The sim truth is computed once, before the eps loop: a cold
+        # sweep simulates every invocation once and re-reads none.
+        assert payload["memo"]["sim_cache"]["misses"] > 0
+        assert payload["memo"]["sim_cache"]["hits"] == 0
         assert payload["memo"]["tree_cache"]["hits"] > 0
 
     def test_sweep_twice_identical_points_and_warm_hits(self, tmp_path):

@@ -192,6 +192,101 @@ class TestWorkloadParity:
         assert BatchPolicy().memo_identity() == ""
 
 
+def pooled_requests():
+    """Three suite workloads with different cache scales and mixed seeds."""
+    return [
+        (load_workload("rodinia", "bfs", scale=0.2, seed=0), None, 1),
+        (load_workload("rodinia", "hotspot", scale=0.1, seed=0), [0, 2, 2, 5, 1], 7),
+        (load_workload("casio", "dlrm", scale=0.001, seed=0), range(12), 3),
+    ]
+
+
+def assert_pooled_parity(sim, requests, dedup=True):
+    """simulate_workloads == per-request simulate_workload on the oracle."""
+    pooled = sim.simulate_workloads(requests, dedup=dedup)
+    oracle = GpuSimulator(RTX_2080, batch_policy=SCALAR)
+    assert len(pooled) == len(requests)
+    for (workload, indices, seed), result in zip(requests, pooled):
+        expected = oracle.simulate_workload(workload, indices, seed=seed, dedup=dedup)
+        assert results_equal(result, expected), f"{workload.name} seed={seed}"
+    return pooled
+
+
+class TestPooledParity:
+    """simulate_workloads pools lanes across requests, never results."""
+
+    def test_mixed_workloads_and_seeds(self):
+        requests = pooled_requests()
+        sim = GpuSimulator(RTX_2080, batch_policy=EAGER)
+        scales = {
+            sim.tracer.generate(w.invocation(0), seed=s).cache_scale
+            for w, _, s in requests
+        }
+        assert len(scales) == len(requests)
+        for dedup in (True, False):
+            assert_pooled_parity(sim, requests, dedup=dedup)
+
+    def test_partially_warm_cache(self, tmp_path):
+        requests = pooled_requests()
+        cache = SimResultCache(str(tmp_path / "sim"))
+        sim = GpuSimulator(RTX_2080, batch_policy=EAGER, sim_cache=cache)
+        # Warm the whole first request and part of the second.
+        sim.simulate_workload(requests[0][0], seed=requests[0][2])
+        sim.simulate_workload(requests[1][0], [0, 5], seed=requests[1][2])
+        hits, misses = cache.hits, cache.misses
+        assert_pooled_parity(sim, requests)
+        assert cache.hits > hits and cache.misses > misses
+        # Every request is now stored under its own entry.
+        warm = GpuSimulator(RTX_2080, sim_cache=SimResultCache(cache.root))
+        assert_pooled_parity(warm, requests)
+        assert warm.sim_cache.misses == 0
+
+    def test_duplicate_indices_and_repeated_requests(self):
+        workload = small_workload()
+        requests = [(workload, [3, 3, 1, 3], 1), (workload, [3, 3, 1, 3], 1),
+                    (workload, [1, 0, 1], 2)]
+        assert_pooled_parity(GpuSimulator(RTX_2080, batch_policy=EAGER), requests)
+
+    def test_request_below_min_width(self):
+        """A tiny request rides in the pool; an all-tiny pool runs scalar."""
+        workload = small_workload()
+        policy = BatchPolicy(min_width=8)
+        sim = GpuSimulator(RTX_2080, batch_policy=policy)
+        assert_pooled_parity(sim, [(workload, [4], 2), (workload, range(10), 5)])
+        traces = make_traces(sim, workload, n=5)
+        _, report = execute_wave_batch(traces, sim.latencies, sim.config, policy)
+        assert report.batched_lanes == 0 and report.scalar_lanes == 5
+        assert_pooled_parity(sim, [(workload, [4], 2), (workload, [0, 1], 5)])
+
+    def test_chunk_boundary_inside_a_workload(self):
+        requests = pooled_requests()
+        narrow = BatchPolicy(min_width=2, max_width=3)
+        sim = GpuSimulator(RTX_2080, batch_policy=narrow)
+        assert_pooled_parity(sim, requests)
+        lanes = len(requests[0][0])
+        traces = make_traces(sim, requests[0][0], seed=requests[0][2])
+        _, report = execute_wave_batch(traces, sim.latencies, sim.config, narrow)
+        assert report.chunks == -(-lanes // 3)
+
+
+class TestCompactLayout:
+    def test_line_numbers_beyond_int32_fall_back_to_int64(self):
+        from repro.sim.batch import _Chunk, _Lane
+
+        sim = GpuSimulator(RTX_2080)
+        traces = make_traces(sim, small_workload(), n=6)
+        line_bytes = sim.config.cache_line_bytes
+        for warp in traces[2].warps:
+            warp.addresses = warp.addresses + (2**33) * line_bytes
+        def lanes():
+            return [_Lane(t, sim.config, (1, 1), 0) for t in traces]
+
+        assert [lane.lines.dtype for lane in lanes()].count(np.int64) == 1
+        assert _Chunk(lanes(), sim.latencies, sim.config).lines.dtype == np.int64
+        assert _Chunk(lanes()[:2], sim.latencies, sim.config).lines.dtype == np.int32
+        assert_engine_parity(traces, sim)
+
+
 class TestCacheKeyLint:
     """`repro lint` pins BatchPolicy's constant memo_identity()."""
 
