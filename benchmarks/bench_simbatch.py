@@ -4,9 +4,10 @@ Standalone script (like ``bench_memo.py``, not pytest-driven).  Two
 measurements per workload, both gated on *bit-identity* — equality
 failures exit non-zero at any scale, they are the acceptance criterion:
 
-1. **engine** — generate every trace once, then time the scalar
-   per-trace event loop against :func:`repro.sim.batch.execute_wave_batch`
-   over the same traces.  This isolates the lock-step engine itself;
+1. **engine** — generate every trace once (timed as
+   ``trace_seconds``), then time the scalar per-trace event loop
+   against :func:`repro.sim.batch.execute_wave_batch` over the same
+   traces.  This isolates the lock-step engine itself;
    ``sim_batch_speedup`` (geometric mean across workloads) is the
    SLO-gated number.
 2. **end-to-end** — ``simulate_workload`` with the default batching
@@ -79,10 +80,10 @@ def bench_engine(suite: str, name: str, scale: float, seed: int) -> Dict[str, ob
     """Scalar event loop vs lock-step engine over identical traces."""
     workload = load_workload(suite, name, scale=scale, seed=0)
     sim = GpuSimulator(RTX_2080)
-    traces = [
+    traces, trace_s = timed(lambda: [
         sim.tracer.generate(workload.invocation(i), seed=seed)
         for i in range(len(workload))
-    ]
+    ])
 
     scalar, scalar_s = timed(lambda: [sim._execute_trace(t) for t in traces])
     (batched, report), batched_s = timed(
@@ -97,6 +98,7 @@ def bench_engine(suite: str, name: str, scale: float, seed: int) -> Dict[str, ob
         "workload": f"{suite}/{name}",
         "scale": scale,
         "invocations": len(traces),
+        "trace_seconds": trace_s,
         "scalar_seconds": scalar_s,
         "batched_seconds": batched_s,
         "speedup": (scalar_s / batched_s) if batched_s > 0 else None,
@@ -136,10 +138,10 @@ def bench_end_to_end(
 def bench_pooled(suite: str, scale: float, seed: int) -> Dict[str, object]:
     """One engine call per workload vs one call pooling every workload."""
     sim = GpuSimulator(RTX_2080)
-    per_workload = [
+    per_workload, trace_s = timed(lambda: [
         [sim.tracer.generate(w.invocation(i), seed=seed) for i in range(len(w))]
         for w in load_suite(suite, scale=scale, seed=0)
-    ]
+    ])
     policy = sim.batch_policy
 
     def run(batches):
@@ -161,6 +163,7 @@ def bench_pooled(suite: str, scale: float, seed: int) -> Dict[str, object]:
         "workload": f"{suite} ({len(per_workload)} workloads)",
         "scale": scale,
         "invocations": len(pooled_traces),
+        "trace_seconds": trace_s,
         "per_workload_seconds": separate_s,
         "pooled_seconds": pooled_s,
         "speedup": (separate_s / pooled_s) if pooled_s > 0 else None,
@@ -224,7 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         engine_rows.append(row)
         print(
             f"engine {row['workload']:24s} n={row['invocations']:5d} "
-            f"scalar {row['scalar_seconds']:7.2f}s -> batched "
+            f"traces {row['trace_seconds']:5.2f}s, scalar {row['scalar_seconds']:7.2f}s -> batched "
             f"{row['batched_seconds']:6.2f}s ({row['speedup']:.2f}x) "
             f"fill={row['fill_ratio']:.2f} identical={row['identical']}"
         )
@@ -245,7 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     pooled_row = bench_pooled("casio", pooled_scale, seed=0)
     print(
         f"pooled {pooled_row['workload']:24s} n={pooled_row['invocations']:5d} "
-        f"per-workload {pooled_row['per_workload_seconds']:6.2f}s "
+        f"traces {pooled_row['trace_seconds']:5.2f}s, per-workload {pooled_row['per_workload_seconds']:6.2f}s "
         f"({pooled_row['per_workload_chunks']} chunks) -> pooled "
         f"{pooled_row['pooled_seconds']:6.2f}s ({pooled_row['pooled_chunks']} chunks, "
         f"{pooled_row['speedup']:.2f}x) identical={pooled_row['identical']}"

@@ -208,6 +208,8 @@ def run_error_bound_sweep(
     if tree_cache is not None:
         config = replace(config, tree_cache=tree_cache)
 
+    # Every point and the simulator truth share one loaded suite.
+    workloads = load_suite(suite, scale=config.workload_scale, seed=config.base_seed)
     if callable(ground_truth):
         truth_fn: Optional[Callable] = ground_truth
     elif ground_truth in (None, "profile"):
@@ -226,7 +228,7 @@ def run_error_bound_sweep(
             fidelity=fidelity,
             escalation_budget=escalation_budget,
         ).table(
-            load_suite(suite, scale=config.workload_scale, seed=config.base_seed),
+            workloads,
             [repetition_seed(config, rep) for rep in range(config.repetitions)],
             config.gpu,
         )
@@ -248,6 +250,7 @@ def run_error_bound_sweep(
             ground_truth=truth_fn,
             jobs=jobs,
             profile_cache=profile_cache,
+            workloads=workloads,
         )
         # Average per workload first, then across workloads.
         by_workload: Dict[str, List] = {}

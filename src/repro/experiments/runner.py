@@ -34,7 +34,9 @@ Fault tolerance (all off by default, see :mod:`repro.resilience`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -492,6 +494,7 @@ def run_suite(
     jobs: Optional[int] = 1,
     profile_cache=None,
     policy=None,
+    workloads: Optional[Sequence[Workload]] = None,
 ) -> List[ResultRow]:
     """Evaluate methods on every workload of a suite.
 
@@ -500,11 +503,16 @@ def run_suite(
     ``checkpoint`` (path or :class:`~repro.resilience.GridCheckpoint`)
     makes the grid resumable; ``jobs`` fans (workload, repetition) cells
     across processes with bit-identical results; ``profile_cache`` reuses
-    collected profiles — see :func:`run_workload`.
+    collected profiles — see :func:`run_workload`.  ``workloads`` passes
+    the suite already loaded at ``config``'s scale and base seed, so a
+    caller that runs the suite many times loads it once.
     """
     if config is None:
         config = ExperimentConfig()
-    workloads = load_suite(suite, scale=config.workload_scale, seed=config.base_seed)
+    if workloads is None:
+        workloads = load_suite(
+            suite, scale=config.workload_scale, seed=config.base_seed
+        )
     if workload_names is not None:
         wanted = set(workload_names)
         workloads = [w for w in workloads if w.name in wanted]

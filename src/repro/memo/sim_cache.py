@@ -78,7 +78,9 @@ def _entry_checksum(arrays: Iterable[np.ndarray]) -> str:
 #: Simulator version salt — bump whenever :mod:`repro.sim` changes in a
 #: way that alters raw simulation outputs, so stale entries can never be
 #: replayed against a newer simulator.
-SIM_VERSION = 1
+#: v2 draws each invocation's address streams for all resident warps in
+#: one lock-step pass (see ``TraceGenerator._address_lines``).
+SIM_VERSION = 2
 
 
 @dataclass(frozen=True)

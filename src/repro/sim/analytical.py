@@ -28,21 +28,17 @@ directory.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+import itertools
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
-from ..analysis import detsan
 from ..hardware.gpu_config import GPUConfig
-from ..memo.dedup import collapse_draws
 from ..memo.sim_cache import RawKernelSim
 from ..workloads.kernel import KernelSpec
 from ..workloads.workload import Workload
-from .noise import noise_factors
-from .simulator import _EVENT_FIELDS, KernelSimResult, WorkloadSimResult
+from .simulator import _EVENT_FIELDS, GpuSimulator, _SimulatorTier
 from .sm import LatencyTable
-from .stats import SimStats
 
 __all__ = ["AnalyticalSimulator", "ANALYTICAL_VERSION"]
 
@@ -65,16 +61,22 @@ def _fit(capacity: np.ndarray, footprint: np.ndarray) -> np.ndarray:
     return np.clip(capacity / np.maximum(footprint, 1.0), 0.0, 1.0)
 
 
-class AnalyticalSimulator:
+class AnalyticalSimulator(_SimulatorTier):
     """Closed-form analytical GPU timing model.
 
     Drop-in fast tier for :class:`~repro.sim.simulator.GpuSimulator`:
     same constructor shape (minus the knobs that only make sense for an
-    event-driven engine), same ``simulate_workload`` /
-    ``cycle_counts`` / ``memo_identity`` surface, same deterministic
-    per-``(seed, index)`` noise.  Roughly three orders of magnitude
-    cheaper per invocation than the cycle-level engine.
+    event-driven engine), and the same workload path — dedup, cache
+    reuse (under this tier's own context key) and the noise / launch /
+    extrapolation post-processing are inherited, not duplicated.
+    Roughly three orders of magnitude cheaper per invocation than the
+    cycle-level engine.
     """
+
+    _span = "sim.analytical.workload"
+    _family = "sim.analytical"
+    _executed_counter = "sim.fidelity.analytical_kernels"
+    _cycles_histogram = None
 
     def __init__(
         self,
@@ -89,8 +91,6 @@ class AnalyticalSimulator:
         # Same derivation as GpuSimulator so both tiers see one latency
         # table for a given GPUConfig (the DSE varies the config, and the
         # analytical tier must move with it).
-        from .simulator import GpuSimulator
-
         self.latencies = latencies or GpuSimulator._derive_latencies(config)
         self.max_instructions_per_warp = max_instructions_per_warp
         self.max_resident_warps = max_resident_warps
@@ -151,7 +151,7 @@ class AnalyticalSimulator:
         Returns ``(wave_cycles, extrapolations, stall_cycles, events)``
         with ``events`` shaped ``(n, len(_EVENT_FIELDS))`` — the same raw
         quantities the cycle-level engine produces, feeding the identical
-        noise/launch/rounding post-processing in ``simulate_workload``.
+        noise/launch/rounding post-processing (``_SimulatorTier._finish``).
         """
         cfg = self.config
         lat = self.latencies
@@ -272,17 +272,22 @@ class AnalyticalSimulator:
         return wave, extrapolation, stall, events
 
     def _raw_invocations(
-        self, workload: Workload, indices: List[int], seed: int
+        self, lanes: Sequence[Tuple[Workload, int, int]]
     ) -> List[RawKernelSim]:
-        """Raw analytical results for ``indices``, in order.
+        """Raw analytical results of ``(workload, index, seed)`` lanes, in
+        order, evaluated per run of consecutive lanes of one workload.
 
-        ``seed`` is unused by the closed-form model (noise is applied in
-        post-processing, exactly like the cycle tier) but kept in the
-        signature so the two tiers' raw layers line up.
+        The seed is unused by the closed-form model: noise is applied in
+        post-processing, exactly like the cycle tier.
         """
-        del seed
-        if not indices:
-            return []
+        raws: List[RawKernelSim] = []
+        for _, run in itertools.groupby(lanes, key=lambda lane: id(lane[0])):
+            run = list(run)
+            raws.extend(self._raw_workload(run[0][0], [index for _, index, _ in run]))
+        return raws
+
+    def _raw_workload(self, workload: Workload, indices: List[int]) -> List[RawKernelSim]:
+        """Raw analytical results of one workload's ``indices``, in order."""
         idx = np.asarray(indices, dtype=np.int64)
         sids = workload.spec_ids[idx]
         waves = np.empty(len(idx), dtype=np.float64)
@@ -309,125 +314,3 @@ class AnalyticalSimulator:
             )
             for i in range(len(idx))
         ]
-
-    @staticmethod
-    def _stats_from_raw(raw: RawKernelSim) -> SimStats:
-        stats = SimStats(stall_cycles=raw.stall_cycles)
-        for j, field_name in enumerate(_EVENT_FIELDS):
-            setattr(stats, field_name, int(raw.events[j]))
-        return stats
-
-    # -- workloads ---------------------------------------------------------
-    def simulate_workload(
-        self,
-        workload: Workload,
-        indices: Optional[Iterable[int]] = None,
-        seed: int = 0,
-        dedup: bool = True,
-    ) -> WorkloadSimResult:
-        """Analytically evaluate the workload (or the subset ``indices``).
-
-        Mirrors :meth:`GpuSimulator.simulate_workload` end to end: dedup
-        of repeated draws, optional ``SimResultCache`` reuse (under this
-        tier's own context key), and the identical vectorized noise /
-        launch-overhead / extrapolation post-processing — so a cycle and
-        an analytical result for the same invocation differ *only* in the
-        predicted wave cycles and event counters.
-        """
-        if indices is None:
-            indices = range(len(workload))
-        index_list = [int(i) for i in indices]
-        n = len(index_list)
-        aggregate = SimStats()
-        with obs.span(
-            "sim.analytical.workload", workload=workload.name
-        ) as sp:
-            if dedup:
-                draws = collapse_draws(index_list)
-                unique_list = [int(i) for i in draws.unique]
-                raw_by_index = {}
-                missing = unique_list
-                context = None
-                if self.sim_cache is not None and unique_list:
-                    context = self.sim_cache.context_for(
-                        workload, self.config, seed, self.memo_identity()
-                    )
-                    raw_by_index, missing = self.sim_cache.load(context, unique_list)
-                for index, raw in zip(
-                    missing, self._raw_invocations(workload, missing, seed)
-                ):
-                    raw_by_index[index] = raw
-                if self.sim_cache is not None and missing:
-                    self.sim_cache.store(context, unique_list, raw_by_index)
-                executed = len(missing)
-                raws = [raw_by_index[index] for index in index_list]
-            else:
-                raws = self._raw_invocations(workload, index_list, seed)
-                executed = n
-
-            stats_list = [self._stats_from_raw(raw) for raw in raws]
-            noise_arr = noise_factors(seed, index_list, self.noise)
-            sp.attrs["kernels"] = n
-            sp.attrs["kernels_evaluated"] = executed
-
-            if n:
-                waves = np.array([raw.wave_cycles for raw in raws], dtype=np.float64)
-                extraps = np.array(
-                    [raw.extrapolation for raw in raws], dtype=np.float64
-                )
-                launch = self.config.launch_overhead_us * self.config.cycles_per_us()
-                cycles = (waves * extraps + launch) * noise_arr
-                events = np.array(
-                    [[getattr(s, f) for f in _EVENT_FIELDS] for s in stats_list],
-                    dtype=np.float64,
-                )
-                scaled = np.round(events * extraps[:, None]).astype(np.int64)
-            else:
-                waves = extraps = cycles = np.empty(0, dtype=np.float64)
-                scaled = np.empty((0, len(_EVENT_FIELDS)), dtype=np.int64)
-
-            results: List[KernelSimResult] = []
-            for i, (index, stats) in enumerate(zip(index_list, stats_list)):
-                for j, field_name in enumerate(_EVENT_FIELDS):
-                    setattr(stats, field_name, int(scaled[i, j]))
-                stats.stall_cycles *= float(extraps[i]) if n else 1.0
-                kernel_cycles = float(cycles[i])
-                stats.cycles = kernel_cycles
-                results.append(
-                    KernelSimResult(
-                        invocation_index=index,
-                        cycles=kernel_cycles,
-                        wave_cycles=float(waves[i]),
-                        extrapolation=float(extraps[i]),
-                        stats=stats,
-                    )
-                )
-            obs.inc("sim.fidelity.analytical_kernels", executed)
-
-        if n:
-            totals = scaled.sum(axis=0)
-            for j, field_name in enumerate(_EVENT_FIELDS):
-                setattr(aggregate, field_name, int(totals[j]))
-            aggregate.stall_cycles = float(sum(s.stall_cycles for s in stats_list))
-        aggregate.cycles = float(sum(r.cycles for r in results))
-        if detsan.is_enabled():
-            # Same sync point as the cycle engine, under this tier's own
-            # "analytical" family tag: the two engines legitimately
-            # disagree with each other, but each must agree with itself
-            # across cold/warm cache and repeated evaluation.
-            tag = (
-                f"sim.analytical|{workload.name}|seed={seed}"
-                f"|idx={detsan.index_digest(index_list)}"
-            )
-            detsan.record(tag + "|cycles", cycles)
-            detsan.record(tag + "|events", scaled)
-        return WorkloadSimResult(
-            workload_name=workload.name,
-            kernel_results=results,
-            aggregate=aggregate,
-        )
-
-    def cycle_counts(self, workload: Workload, seed: int = 0) -> np.ndarray:
-        """Per-invocation analytical cycle predictions."""
-        result = self.simulate_workload(workload, seed=seed)
-        return np.array([r.cycles for r in result.kernel_results], dtype=np.float64)

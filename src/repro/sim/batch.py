@@ -35,8 +35,9 @@ Lanes whose scaled cache would need a pathologically large dense tag
 array run through the scalar oracle instead (see
 ``BatchPolicy.max_lane_cache_bytes``); results are identical either way.
 
-Memory shape: the chunk is compact — unpadded ``int8`` kinds with a
-per-lane ``[lane, kind]`` latency row, a per-warp memory cursor, and
+Memory shape: the chunk is compact — unpadded ``int8`` kinds, stored
+once per lane when its warps share one stream, with a per-lane
+``[lane, kind]`` latency row, a per-warp memory cursor, and
 ``int32`` line numbers whenever every line of the chunk fits — and the
 input is streamed: each trace is packed into a small per-lane record as
 the iterable yields it and then dropped, so a caller that passes a
@@ -96,8 +97,10 @@ class BatchPolicy:
     enabled: bool = True
     #: Fewest pending traces worth batching.  One lock-step iteration
     #: costs a fixed ~30 numpy calls however wide the batch is, so very
-    #: narrow batches lose to the plain Python loop (measured breakeven
-    #: is near 16 lanes on CPython 3.11; see docs/performance.md).
+    #: narrow batches lose to the plain Python loop.  The default was
+    #: measured as the breakeven against the original scalar loop; the
+    #: list-based scalar loop moved it to ~100-128 lanes on CPython 3.11
+    #: (see docs/performance.md).
     min_width: int = 16
     #: Widest single lock-step chunk; wider batches run as consecutive
     #: chunks (lanes are independent, so chunk boundaries cannot change
@@ -245,46 +248,57 @@ def _cache_footprint(cache_scale: float, config) -> Tuple[Tuple[int, int], int]:
 class _Lane:
     """One trace packed for the SoA: what a chunk needs, and no more.
 
-    Each warp's kinds (``int8``) and cache-line numbers are concatenated
-    into one flat array per lane — no padding — with per-warp lengths
-    alongside.  Line numbers are ``int32`` when every line fits and
-    ``int64`` otherwise.  Packing lets the caller drop the trace (its
-    per-warp objects and byte addresses) as soon as it is generated.
+    Generated traces share one kinds stream across their warps, so a
+    lane stores that stream once and starts every warp's program counter
+    at it; traces whose warps carry their own kinds arrays store their
+    concatenation instead, with per-warp start offsets.  Cache-line
+    numbers of every warp are concatenated into one flat array — no
+    padding — with per-warp lengths alongside; they are ``int32`` when
+    every line fits and ``int64`` otherwise.  Packing lets the caller
+    drop the trace (its per-warp objects and byte addresses) as soon as
+    it is generated.
     """
 
-    __slots__ = ("kinds", "warp_len", "lines", "mem_len", "steps", "events",
-                 "efficiency", "cache_sizes", "cache_bytes")
+    __slots__ = ("kinds", "warp_start", "warp_len", "lines", "mem_len", "steps",
+                 "events", "efficiency", "cache_sizes", "cache_bytes")
 
     def __init__(self, trace: KernelTrace, config, cache_sizes: Tuple[int, int],
                  cache_bytes: int):
         warps = trace.warps
-        self.kinds = np.concatenate([w.kinds for w in warps]).astype(np.int8, copy=False)
         self.warp_len = np.array([len(w.kinds) for w in warps], dtype=np.int64)
+        shared = warps[0].kinds
+        if all(w.kinds is shared for w in warps):
+            self.kinds = shared.astype(np.int8, copy=False)
+            self.warp_start = np.zeros(len(warps), dtype=np.int64)
+            # Static event counts: every traced instruction issues exactly
+            # once, so per-kind totals never depend on timing.
+            self.events = np.bincount(self.kinds, minlength=_N_KINDS) * len(warps)
+        else:
+            self.kinds = np.concatenate([w.kinds for w in warps]).astype(np.int8, copy=False)
+            self.warp_start = np.cumsum(self.warp_len) - self.warp_len
+            self.events = np.bincount(self.kinds, minlength=_N_KINDS)
         lines = np.concatenate([w.addresses for w in warps]).astype(np.int64)
         lines //= config.cache_line_bytes
         if lines.size == 0 or (lines.min() >= 0 and lines.max() <= _INT32_MAX):
             lines = lines.astype(np.int32)
         self.lines = lines
         self.mem_len = np.array([len(w.addresses) for w in warps], dtype=np.int64)
-        self.steps = len(self.kinds)
-        # Static event counts: every traced instruction issues exactly
-        # once, so per-kind totals never depend on timing.
-        self.events = np.bincount(self.kinds, minlength=_N_KINDS)
+        self.steps = int(self.warp_len.sum())
         self.efficiency = float(trace.invocation.context.efficiency)
         self.cache_sizes = cache_sizes
         self.cache_bytes = cache_bytes
 
     def slot_bytes(self) -> int:
         """Chunk memory of this lane's slots: kinds, lines, warp state."""
-        return self.steps + self.lines.nbytes + 32 * len(self.warp_len)
+        return len(self.kinds) + self.lines.nbytes + 32 * len(self.warp_len)
 
 
 class _Chunk:
     """Structure-of-arrays state for one lock-step chunk.
 
-    Kinds and line numbers are flat concatenations over every (lane,
-    warp); each warp's program counter and memory cursor are absolute
-    positions into them, so the step loop reads a slot with one ``take``
+    Kinds are a flat concatenation of every lane's packed kinds, line
+    numbers of every (lane, warp) stream; each warp's program counter
+    and memory cursor are absolute positions into them, so the step loop reads a slot with one ``take``
     and no index arithmetic.  Consumes ``lanes``: each entry is set to
     ``None`` once copied in, so a record's memory is freed as the chunk
     fills.
@@ -306,20 +320,20 @@ class _Chunk:
 
         warp_len = np.zeros((width, n_warps), dtype=np.int64)
         mem_len = np.zeros((width, n_warps), dtype=np.int64)
-        self.kinds = np.empty(int(self.steps.sum()), dtype=np.int8)
+        self.pcs = np.zeros((width, n_warps), dtype=np.int64)
+        self.kinds = np.empty(sum(len(lane.kinds) for lane in lanes), dtype=np.int8)
         self.lines = np.empty(sum(len(lane.lines) for lane in lanes), dtype=line_dtype)
         kind_at = line_at = 0
         for b in range(width):
             lane, lanes[b] = lanes[b], None
-            warp_len[b, : len(lane.warp_len)] = lane.warp_len
-            mem_len[b, : len(lane.mem_len)] = lane.mem_len
-            self.kinds[kind_at : kind_at + lane.steps] = lane.kinds
+            warps = len(lane.warp_len)
+            warp_len[b, :warps] = lane.warp_len
+            mem_len[b, :warps] = lane.mem_len
+            self.pcs[b, :warps] = kind_at + lane.warp_start
+            self.kinds[kind_at : kind_at + len(lane.kinds)] = lane.kinds
             self.lines[line_at : line_at + len(lane.lines)] = lane.lines
-            kind_at += lane.steps
+            kind_at += len(lane.kinds)
             line_at += len(lane.lines)
-        # Warps are laid out lane-major, so an exclusive prefix sum of
-        # the per-warp lengths is each warp's first slot.
-        self.pcs = (np.cumsum(warp_len) - warp_len.ravel()).reshape(warp_len.shape)
         self.pc_end = self.pcs + warp_len
         self.cursor = (np.cumsum(mem_len) - mem_len.ravel()).reshape(mem_len.shape)
         # Padded and empty warps are never ready, exactly as the scalar

@@ -93,8 +93,226 @@ class WorkloadSimResult:
         return self._cycles_by_index
 
 
-class GpuSimulator:
+class _SimulatorTier:
+    """The workload path shared by the cycle and analytical tiers.
+
+    Fault checks, dedup of repeated draws, :class:`~repro.memo.SimResultCache`
+    reuse and the vectorized noise / launch-overhead / extrapolation
+    post-processing live here once, so a cycle and an analytical result
+    for the same invocation differ *only* in the raw wave cycles and
+    event counters.  A tier supplies ``config``, ``noise``, ``sim_cache``,
+    :meth:`memo_identity` and ``_raw_invocations(lanes)``, which returns
+    the raw result of every ``(workload, index, seed)`` lane in order.
+    """
+
+    #: Span around one :meth:`simulate_workloads` call.
+    _span = "sim.workload"
+    #: DetSan family tag of this tier's recordings.
+    _family = "sim.cycle"
+    #: Counter of invocations actually simulated (not reused).
+    _executed_counter = "sim.kernels_executed"
+    #: Histogram of per-slot kernel cycles, or ``None`` for none.
+    _cycles_histogram: Optional[str] = "sim.kernel_cycles"
+    #: Optional :class:`~repro.resilience.faults.FaultInjector`.
+    fault_injector = None
+
+    def simulate_workload(
+        self,
+        workload: Workload,
+        indices: Optional[Iterable[int]] = None,
+        seed: int = 0,
+        dedup: bool = True,
+    ) -> WorkloadSimResult:
+        """Simulate the workload (or the subset ``indices``), in order.
+
+        The one-request case of :meth:`simulate_workloads`; see there.
+        """
+        return self.simulate_workloads([(workload, indices, seed)], dedup=dedup)[0]
+
+    def simulate_workloads(
+        self,
+        requests: Iterable[Tuple[Workload, Optional[Iterable[int]], int]],
+        dedup: bool = True,
+    ) -> List[WorkloadSimResult]:
+        """Simulate several ``(workload, indices, seed)`` requests at once.
+
+        ``indices=None`` means the whole workload.  Each request gets the
+        same result :meth:`simulate_workload` would give it alone, in
+        request order; what is shared is the engine: the not-yet-cached
+        invocations of *every* request go to one ``_raw_invocations``
+        call — for the cycle tier, one lane pool of the
+        structure-of-arrays lock-step engine (:mod:`repro.sim.batch`), so
+        many small workloads fill a few wide chunks instead of many
+        narrow ones.  Noise, launch overhead, extrapolation scaling,
+        counter rounding and aggregation are then single array operations
+        per request.  Cycle-tier results are bit-identical to calling
+        :meth:`GpuSimulator.simulate_invocation` per index — each
+        lock-step lane performs the same IEEE ops in the same order as
+        the scalar event loop, and the post-processing is the same
+        arithmetic applied elementwise.
+
+        With ``dedup=True`` (the default) repeated indices within a
+        request — routine for with-replacement sampling plans — are
+        simulated once and their raw results gathered back per slot;
+        when a :class:`~repro.memo.SimResultCache` is attached, unique
+        invocations already simulated by an earlier call, process or run
+        are reused from the cache, and each request's results are stored
+        under its own (context, index list) entry.  Both reuse paths feed
+        the identical vectorized post-processing, so every result and
+        aggregate stays bit-for-bit equal to ``dedup=False``.
+        """
+        requests = [
+            (
+                workload,
+                list(range(len(workload))) if indices is None
+                else [int(i) for i in indices],
+                int(seed),
+            )
+            for workload, indices, seed in requests
+        ]
+        names = ",".join(dict.fromkeys(workload.name for workload, _, _ in requests))
+        with obs.span(self._span, workload=names) as sp:
+            # Fault decisions are pure functions of (plan seed, index,
+            # attempt), so checking every index upfront raises the same
+            # first failure as the interleaved loop — without paying for
+            # the simulations ahead of it.
+            if self.fault_injector is not None:
+                for _, index_list, _ in requests:
+                    for index in index_list:
+                        self.fault_injector.check_simulation(index, 1)
+
+            # Per request: raw results already known, and what to run.
+            plans = []
+            identity = self.memo_identity() if self.sim_cache is not None else ""
+            for workload, index_list, seed in requests:
+                found: Dict[int, RawKernelSim] = {}
+                unique, missing, context = index_list, index_list, None
+                if dedup:
+                    draws = collapse_draws(index_list)
+                    unique = missing = [int(i) for i in draws.unique]
+                    obs.inc("memo.dedup.draws", draws.num_draws)
+                    obs.inc("memo.dedup.collapsed", draws.collapsed)
+                    if self.sim_cache is not None and unique:
+                        context = self.sim_cache.context_for(
+                            workload, self.config, seed, identity
+                        )
+                        found, missing = self.sim_cache.load(context, unique)
+                plans.append((unique, found, missing, context))
+
+            fresh = iter(self._raw_invocations([
+                (workload, index, seed)
+                for (workload, _, seed), plan in zip(requests, plans)
+                for index in plan[2]
+            ]))
+
+            results = []
+            executed = 0
+            for (workload, index_list, seed), (unique, found, missing, context) in zip(
+                requests, plans
+            ):
+                if dedup:
+                    raw_by_index = dict(found)
+                    raw_by_index.update((index, next(fresh)) for index in missing)
+                    if context is not None and missing:
+                        self.sim_cache.store(context, unique, raw_by_index)
+                    raws = [raw_by_index[index] for index in index_list]
+                else:
+                    raws = [next(fresh) for _ in missing]
+                executed += len(missing)
+                results.append(self._finish(workload, index_list, seed, raws))
+            sp.attrs["kernels"] = sum(len(index_list) for _, index_list, _ in requests)
+            sp.attrs["kernels_simulated"] = executed
+            # Counts simulations actually run (deduped/cached reuse is
+            # free); per-slot cycles land in the histogram.
+            obs.inc(self._executed_counter, executed)
+        return results
+
+    def _finish(
+        self, workload: Workload, index_list: List[int], seed: int,
+        raws: List[RawKernelSim],
+    ) -> WorkloadSimResult:
+        """Post-process one request's raw results into its final result."""
+        n = len(index_list)
+        # Vectorized replication of the per-index keyed generators;
+        # bit-identical to ``GpuSimulator._noise_factor`` per slot (see
+        # :mod:`repro.sim.noise`).
+        noises = noise_factors(seed, index_list, self.noise)
+
+        if n:
+            waves = np.array([raw.wave_cycles for raw in raws], dtype=np.float64)
+            extraps = np.array([raw.extrapolation for raw in raws], dtype=np.float64)
+            launch = self.config.launch_overhead_us * self.config.cycles_per_us()
+            cycles = (waves * extraps + launch) * noises
+            events = np.array([raw.events for raw in raws], dtype=np.float64)
+            # np.round is half-to-even, exactly like the scalar path's
+            # ``int(round(...))``.
+            scaled = np.round(events * extraps[:, None]).astype(np.int64)
+        else:
+            cycles = np.empty(0, dtype=np.float64)
+            scaled = np.empty((0, len(_EVENT_FIELDS)), dtype=np.int64)
+
+        results: List[KernelSimResult] = []
+        for i, (index, raw) in enumerate(zip(index_list, raws)):
+            # Fresh stats per slot: callers may mutate them.
+            stats = SimStats(
+                cycles=float(cycles[i]),
+                stall_cycles=raw.stall_cycles * raw.extrapolation,
+                **dict(zip(_EVENT_FIELDS, scaled[i].tolist())),
+            )
+            results.append(
+                KernelSimResult(
+                    invocation_index=index,
+                    cycles=stats.cycles,
+                    wave_cycles=raw.wave_cycles,
+                    extrapolation=raw.extrapolation,
+                    stats=stats,
+                )
+            )
+        if self._cycles_histogram is not None and obs.is_enabled():
+            for kernel_cycles in cycles:
+                obs.observe(self._cycles_histogram, float(kernel_cycles))
+
+        aggregate = SimStats()
+        if n:
+            totals = scaled.sum(axis=0)
+            for j, field_name in enumerate(_EVENT_FIELDS):
+                setattr(aggregate, field_name, int(totals[j]))
+            aggregate.stall_cycles = float(sum(r.stats.stall_cycles for r in results))
+        aggregate.cycles = float(sum(r.cycles for r in results))
+        if detsan.is_enabled():
+            # Sync point: per-invocation cycles and scaled counters must
+            # be bit-identical across engine configs (scalar vs batch,
+            # pooled vs per-workload, cold vs warm cache, dedup on/off).
+            # The key is engine-invariant; the family tag keeps each
+            # tier's recordings disjoint, since the tiers legitimately
+            # disagree with each other.
+            tag = (
+                f"{self._family}|{workload.name}|seed={seed}"
+                f"|idx={detsan.index_digest(index_list)}"
+            )
+            detsan.record(tag + "|cycles", cycles)
+            detsan.record(tag + "|events", scaled)
+        return WorkloadSimResult(
+            workload_name=workload.name,
+            kernel_results=results,
+            aggregate=aggregate,
+        )
+
+    def cycle_counts(
+        self, workload: Workload, seed: int = 0
+    ) -> np.ndarray:
+        """Per-invocation cycles of the whole workload."""
+        result = self.simulate_workload(workload, seed=seed)
+        return np.array([r.cycles for r in result.kernel_results], dtype=np.float64)
+
+
+class GpuSimulator(_SimulatorTier):
     """Trace-driven cycle-level GPU simulator."""
+
+    # Bound in this class's own namespace, not only inherited, so that
+    # wrapping ``GpuSimulator.simulate_workload`` instruments the cycle
+    # tier alone.
+    simulate_workload = _SimulatorTier.simulate_workload
 
     def __init__(
         self,
@@ -309,191 +527,3 @@ class GpuSimulator:
             self._raw(wave_cycles, extrapolation, stats)
             for extrapolation, (wave_cycles, stats) in zip(extrapolations, pairs)
         ]
-
-    # -- workloads ---------------------------------------------------------
-    def simulate_workload(
-        self,
-        workload: Workload,
-        indices: Optional[Iterable[int]] = None,
-        seed: int = 0,
-        dedup: bool = True,
-    ) -> WorkloadSimResult:
-        """Simulate the workload (or the subset ``indices``), in order.
-
-        The one-request case of :meth:`simulate_workloads`; see there.
-        """
-        return self.simulate_workloads([(workload, indices, seed)], dedup=dedup)[0]
-
-    def simulate_workloads(
-        self,
-        requests: Iterable[Tuple[Workload, Optional[Iterable[int]], int]],
-        dedup: bool = True,
-    ) -> List[WorkloadSimResult]:
-        """Simulate several ``(workload, indices, seed)`` requests at once.
-
-        ``indices=None`` means the whole workload.  Each request gets the
-        same result :meth:`simulate_workload` would give it alone, in
-        request order; what is shared is the engine: the not-yet-cached
-        invocations of *every* request run through the
-        structure-of-arrays lock-step engine (:mod:`repro.sim.batch`) as
-        one lane pool, so many small workloads fill a few wide chunks
-        instead of many narrow ones.  Noise, launch overhead,
-        extrapolation scaling, counter rounding and aggregation are then
-        single array operations per request.  Results are bit-identical
-        to calling :meth:`simulate_invocation` per index — each
-        lock-step lane performs the same IEEE ops in the same order as
-        the scalar event loop, and the post-processing is the same
-        arithmetic applied elementwise.
-
-        With ``dedup=True`` (the default) repeated indices within a
-        request — routine for with-replacement sampling plans — are
-        simulated once and their raw results gathered back per slot;
-        when a :class:`~repro.memo.SimResultCache` is attached, unique
-        invocations already simulated by an earlier call, process or run
-        are reused from the cache, and each request's results are stored
-        under its own (context, index list) entry.  Both reuse paths feed
-        the identical vectorized post-processing, so every result and
-        aggregate stays bit-for-bit equal to ``dedup=False``.
-        """
-        requests = [
-            (
-                workload,
-                list(range(len(workload))) if indices is None
-                else [int(i) for i in indices],
-                int(seed),
-            )
-            for workload, indices, seed in requests
-        ]
-        names = ",".join(dict.fromkeys(workload.name for workload, _, _ in requests))
-        with obs.span("sim.workload", workload=names) as sp:
-            # Fault decisions are pure functions of (plan seed, index,
-            # attempt), so checking every index upfront raises the same
-            # first failure as the interleaved loop — without paying for
-            # the simulations ahead of it.
-            if self.fault_injector is not None:
-                for _, index_list, _ in requests:
-                    for index in index_list:
-                        self.fault_injector.check_simulation(index, 1)
-
-            # Per request: raw results already known, and what to run.
-            plans = []
-            identity = self.memo_identity() if self.sim_cache is not None else ""
-            for workload, index_list, seed in requests:
-                found: Dict[int, RawKernelSim] = {}
-                unique, missing, context = index_list, index_list, None
-                if dedup:
-                    draws = collapse_draws(index_list)
-                    unique = missing = [int(i) for i in draws.unique]
-                    obs.inc("memo.dedup.draws", draws.num_draws)
-                    obs.inc("memo.dedup.collapsed", draws.collapsed)
-                    if self.sim_cache is not None and unique:
-                        context = self.sim_cache.context_for(
-                            workload, self.config, seed, identity
-                        )
-                        found, missing = self.sim_cache.load(context, unique)
-                plans.append((unique, found, missing, context))
-
-            fresh = iter(self._raw_invocations([
-                (workload, index, seed)
-                for (workload, _, seed), plan in zip(requests, plans)
-                for index in plan[2]
-            ]))
-
-            results = []
-            executed = 0
-            for (workload, index_list, seed), (unique, found, missing, context) in zip(
-                requests, plans
-            ):
-                if dedup:
-                    raw_by_index = dict(found)
-                    raw_by_index.update((index, next(fresh)) for index in missing)
-                    if context is not None and missing:
-                        self.sim_cache.store(context, unique, raw_by_index)
-                    raws = [raw_by_index[index] for index in index_list]
-                else:
-                    raws = [next(fresh) for _ in missing]
-                executed += len(missing)
-                results.append(self._finish(workload, index_list, seed, raws))
-            sp.attrs["kernels"] = sum(len(index_list) for _, index_list, _ in requests)
-            sp.attrs["kernels_simulated"] = executed
-            # Counts wave simulations actually run (deduped/cached reuse
-            # is free); per-slot cycles land in the histogram.
-            obs.inc("sim.kernels_executed", executed)
-        return results
-
-    def _finish(
-        self, workload: Workload, index_list: List[int], seed: int,
-        raws: List[RawKernelSim],
-    ) -> WorkloadSimResult:
-        """Post-process one request's raw results into its final result."""
-        n = len(index_list)
-        # Vectorized replication of the per-index keyed generators;
-        # bit-identical to calling ``_noise_factor`` per slot (see
-        # :mod:`repro.sim.noise`).
-        noises = noise_factors(seed, index_list, self.noise)
-
-        if n:
-            waves = np.array([raw.wave_cycles for raw in raws], dtype=np.float64)
-            extraps = np.array([raw.extrapolation for raw in raws], dtype=np.float64)
-            launch = self.config.launch_overhead_us * self.config.cycles_per_us()
-            cycles = (waves * extraps + launch) * noises
-            events = np.array([raw.events for raw in raws], dtype=np.float64)
-            # np.round is half-to-even, exactly like the scalar path's
-            # ``int(round(...))``.
-            scaled = np.round(events * extraps[:, None]).astype(np.int64)
-        else:
-            cycles = np.empty(0, dtype=np.float64)
-            scaled = np.empty((0, len(_EVENT_FIELDS)), dtype=np.int64)
-
-        results: List[KernelSimResult] = []
-        for i, (index, raw) in enumerate(zip(index_list, raws)):
-            # Fresh stats per slot: callers may mutate them.
-            stats = SimStats(
-                cycles=float(cycles[i]),
-                stall_cycles=raw.stall_cycles * raw.extrapolation,
-                **dict(zip(_EVENT_FIELDS, scaled[i].tolist())),
-            )
-            results.append(
-                KernelSimResult(
-                    invocation_index=index,
-                    cycles=stats.cycles,
-                    wave_cycles=raw.wave_cycles,
-                    extrapolation=raw.extrapolation,
-                    stats=stats,
-                )
-            )
-        if obs.is_enabled():
-            for kernel_cycles in cycles:
-                obs.observe("sim.kernel_cycles", float(kernel_cycles))
-
-        aggregate = SimStats()
-        if n:
-            totals = scaled.sum(axis=0)
-            for j, field_name in enumerate(_EVENT_FIELDS):
-                setattr(aggregate, field_name, int(totals[j]))
-            aggregate.stall_cycles = float(sum(r.stats.stall_cycles for r in results))
-        aggregate.cycles = float(sum(r.cycles for r in results))
-        if detsan.is_enabled():
-            # Sync point: per-invocation cycles and scaled counters must
-            # be bit-identical across engine configs (scalar vs batch,
-            # pooled vs per-workload, cold vs warm cache, dedup on/off).
-            # The key is engine-invariant; the "cycle" family tag keeps
-            # these recordings disjoint from the analytical tier's.
-            tag = (
-                f"sim.cycle|{workload.name}|seed={seed}"
-                f"|idx={detsan.index_digest(index_list)}"
-            )
-            detsan.record(tag + "|cycles", cycles)
-            detsan.record(tag + "|events", scaled)
-        return WorkloadSimResult(
-            workload_name=workload.name,
-            kernel_results=results,
-            aggregate=aggregate,
-        )
-
-    def cycle_counts(
-        self, workload: Workload, seed: int = 0
-    ) -> np.ndarray:
-        """Per-invocation cycle counts of a full simulation."""
-        result = self.simulate_workload(workload, seed=seed)
-        return np.array([r.cycles for r in result.kernel_results], dtype=np.float64)

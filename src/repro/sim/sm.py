@@ -14,6 +14,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .cache import Cache
 from .memory import DramModel
 from .stats import SimStats
@@ -113,39 +115,59 @@ class StreamingMultiprocessor:
             self._compute_latency(kind, efficiency) for kind in range(Op.BRANCH + 1)
         )
 
-        # Per-warp state: program counter and memory-address cursor.
-        pcs = [0] * len(trace.warps)
-        mem_cursor = [0] * len(trace.warps)
+        # Per-warp state: program counter and memory-address cursor.  The
+        # streams are read as plain lists: indexing a NumPy array once
+        # per issued instruction would cost more than the model itself.
+        kinds = [warp.kinds.tolist() for warp in trace.warps]
+        addresses = [warp.addresses.tolist() for warp in trace.warps]
+        pcs = [0] * len(kinds)
+        mem_cursor = [0] * len(kinds)
         # Ready heap entries: (ready_cycle, warp_index).
-        heap = [(0.0, w) for w in range(len(trace.warps))]
+        heap = [(0.0, w) for w in range(len(kinds))]
         heapq.heapify(heap)
         issue_free_at = 0.0
         last_completion = 0.0
+        stall = 0.0
+        memory_latency = self._memory_latency
+        heappop, heappush = heapq.heappop, heapq.heappush
+        load = Op.LOAD
 
+        # Each conditional below is ``max`` spelled out: it returns the
+        # same operand ``max`` would, without the call.
         while heap:
-            ready, w = heapq.heappop(heap)
-            warp = trace.warps[w]
-            if pcs[w] >= len(warp.kinds):
+            ready, w = heappop(heap)
+            stream = kinds[w]
+            pc = pcs[w]
+            if pc >= len(stream):
                 continue
-            issue_at = max(ready, issue_free_at)
-            stats.stall_cycles += max(0.0, issue_at - ready)
+            issue_at = issue_free_at if issue_free_at > ready else ready
+            stall += issue_at - ready  # never negative: issue_at >= ready
             issue_free_at = issue_at + 1.0
 
-            kind = int(warp.kinds[pcs[w]])
-            pcs[w] += 1
-            stats.instructions += 1
-            setattr(stats, counters[kind], getattr(stats, counters[kind]) + 1)
-
-            if kind in (Op.LOAD, Op.STORE):
-                address = int(warp.addresses[mem_cursor[w]])
+            kind = stream[pc]
+            pc += 1
+            pcs[w] = pc
+            if kind >= load:
+                latency = memory_latency(addresses[w][mem_cursor[w]], issue_at, stats)
                 mem_cursor[w] += 1
-                latency = self._memory_latency(address, issue_at, stats)
             else:
                 latency = compute_latency[kind]
             completion = issue_at + latency
-            last_completion = max(last_completion, completion)
-            if pcs[w] < len(warp.kinds):
-                heapq.heappush(heap, (completion, w))
+            if completion > last_completion:
+                last_completion = completion
+            if pc < len(stream):
+                heappush(heap, (completion, w))
 
+        # Every traced instruction issues exactly once, so the per-kind
+        # event counts are static.
+        stats.stall_cycles = stall
+        stats.instructions = sum(len(stream) for stream in kinds)
+        if kinds:
+            issued = np.bincount(
+                np.concatenate([warp.kinds for warp in trace.warps]).astype(np.int64),
+                minlength=len(counters),
+            )
+            for name, count in zip(counters, issued.tolist()):
+                setattr(stats, name, count)
         stats.cycles = last_completion
         return last_completion, stats

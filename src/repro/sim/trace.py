@@ -12,8 +12,9 @@ comparisons stay internally consistent).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -41,6 +42,9 @@ class WarpTrace:
 
     ``kinds`` holds opcode codes in program order; ``addresses`` holds one
     transaction address per memory instruction, consumed in order.
+    Generated traces share one read-only ``kinds`` array across all their
+    warps (and across every invocation with the same instruction mix and
+    traced length), so it must never be written in place.
     """
 
     kinds: np.ndarray
@@ -64,6 +68,23 @@ class KernelTrace:
     #: Scale caches by this factor when simulating the trace: the trace's
     #: scaled address space stands in for the real working set.
     cache_scale: float = 1.0
+
+
+@functools.lru_cache(maxsize=4096)
+def _kinds_stream(mix_counts: Tuple[int, ...], length: int) -> Tuple[np.ndarray, int]:
+    """The shared read-only kinds stream of one (mix counts, traced
+    length) key, and its count of memory instructions.
+
+    The stream depends on nothing else, so every warp of every invocation
+    with the same key shares one array instead of building its own copy.
+    """
+    kinds = TraceGenerator._interleave(
+        list(mix_counts),
+        [Op.FP32, Op.FP16, Op.INT, Op.SFU, Op.SHARED, Op.BRANCH, Op.LOAD, Op.STORE],
+        length,
+    )
+    kinds.flags.writeable = False
+    return kinds, int(np.count_nonzero(kinds >= Op.LOAD))
 
 
 class TraceGenerator:
@@ -117,22 +138,28 @@ class TraceGenerator:
         reps = int(np.ceil(length / total))
         return np.tile(stream, reps)[:length]
 
-    def _addresses(
+    def _address_lines(
         self,
         invocation: KernelInvocation,
-        warp_index: int,
-        count: int,
+        resident: int,
+        n_mem: int,
         ws_lines: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Per-warp coalesced transaction addresses.
+        """Coalesced transaction line numbers of every resident warp.
 
-        With probability ``locality`` a transaction re-touches a hot
-        region (sized as a fraction of the working set); otherwise it
-        streams through cold addresses or, for ``random_fraction`` of
-        accesses, lands anywhere in the working set — so the hit rate a
-        cache of a given capacity achieves responds to both the locality
-        knob and the cache size, which is what the DSE experiments vary.
+        Returns a ``[resident, n_mem]`` array: row ``w`` is warp ``w``'s
+        address stream.  With probability ``locality`` a transaction
+        re-touches a hot region (sized as a fraction of the working set);
+        otherwise it streams through cold addresses or, for
+        ``random_fraction`` of accesses, lands anywhere in the working set
+        — so the hit rate a cache of a given capacity achieves responds
+        to both the locality knob and the cache size, which is what the
+        DSE experiments vary.
+
+        All warps are drawn in one lock-step pass, so the cost per
+        invocation is a fixed handful of numpy calls however many warps
+        are resident.
         """
         spec = invocation.spec
         context = invocation.context
@@ -140,28 +167,40 @@ class TraceGenerator:
         # The compact trace works in a *scaled address space*: the trace's
         # total access count stands in for the full working set, and the
         # simulator scales cache capacities by the same ratio (see
-        # :meth:`address_space_scale`).  Footprint-to-capacity ratios —
+        # ``KernelTrace.cache_scale``).  Footprint-to-capacity ratios —
         # the quantity cache behaviour depends on — are thereby preserved
         # despite the trace reduction.
         hot_lines = max(2, int(round(ws_lines * 0.01)))
         warm_lines = max(4, int(round(ws_lines * 0.2)))
-        warp_lines = max(1, (warp_index * 7919) % ws_lines)
 
         p_hot = 0.35 * context.locality
         p_warm = p_hot + 0.55 * context.locality + 0.15
-        u = rng.random(count)
+        shape = (resident, n_mem)
+        u = rng.random(shape)
         hot = u < p_hot
         warm = ~hot & (u < p_warm)
         cold = ~hot & ~warm
-        random_access = cold & (rng.random(count) < spec.memory.random_fraction)
+        random_access = cold & (rng.random(shape) < spec.memory.random_fraction)
         streaming = cold & ~random_access
 
-        # NOTE: the rng call sequence above and below is part of the
-        # deterministic trace identity — reordering or fusing any of the
-        # draws would change every downstream result.  Zero-size
-        # ``integers`` calls are stream-neutral (they consume no bits),
-        # so skipping them when a class is empty is bit-identical.
-        lines = np.empty(count, dtype=np.int64)
+        # NOTE: the rng call sequence is part of the deterministic trace
+        # identity (SIM_VERSION 2): the class uniforms of every slot,
+        # then the random-access uniforms of every slot, both shaped
+        # [resident, n_mem]; then one ``integers`` draw each for the hot,
+        # warm and random classes, whose values fill that class's slots
+        # in row-major (warp-major) order.  Reordering, splitting per
+        # warp or fusing any of these draws changes every downstream
+        # result and needs a SIM_VERSION bump.  Zero-size ``integers``
+        # calls are stream-neutral (they consume no bits), so skipping
+        # them when a class is empty is bit-identical.
+        #
+        # Streaming accesses: a strided walk from each warp's base line,
+        # one step per streaming access of that warp (its per-row rank).
+        warp_lines = np.maximum(
+            1, (np.arange(resident, dtype=np.int64) * 7919) % ws_lines
+        )
+        rank = np.cumsum(streaming, axis=1, dtype=np.int64) - 1
+        lines = (warp_lines[:, None] + rank) % ws_lines
         n_hot = int(np.count_nonzero(hot))
         if n_hot:
             lines[hot] = rng.integers(0, hot_lines, size=n_hot)
@@ -171,13 +210,7 @@ class TraceGenerator:
         n_random = int(np.count_nonzero(random_access))
         if n_random:
             lines[random_access] = rng.integers(0, ws_lines, size=n_random)
-        # Streaming accesses: a strided walk from the warp's base line.
-        n_stream = int(np.count_nonzero(streaming))
-        if n_stream:
-            lines[streaming] = (
-                warp_lines + np.arange(n_stream, dtype=np.int64)
-            ) % ws_lines
-        return lines * self.line_bytes
+        return lines
 
     # -- public API -------------------------------------------------------
     def generate(
@@ -195,8 +228,8 @@ class TraceGenerator:
         scaled_total = max(1, int(round(per_thread_total * context.work_scale)))
         traced_len = min(self.max_instructions_per_warp, scaled_total)
 
-        kinds = self._interleave(
-            [
+        kinds, n_mem = _kinds_stream(
+            (
                 mix.fp32,
                 mix.fp16,
                 mix.int_alu,
@@ -205,8 +238,7 @@ class TraceGenerator:
                 mix.branch,
                 mix.load_global,
                 mix.store_global,
-            ],
-            [Op.FP32, Op.FP16, Op.INT, Op.SFU, Op.SHARED, Op.BRANCH, Op.LOAD, Op.STORE],
+            ),
             traced_len,
         )
 
@@ -226,8 +258,6 @@ class TraceGenerator:
         )
         resident = min(resident, spec.num_warps())
 
-        warps: List[WarpTrace] = []
-        n_mem = int(np.count_nonzero((kinds == Op.LOAD) | (kinds == Op.STORE)))
         # Scaled address space: the wave's total transaction count stands
         # in for the real working set (footprint-to-capacity preserved).
         ws_lines = max(64, n_mem * max(resident, 1))
@@ -236,9 +266,11 @@ class TraceGenerator:
             self.line_bytes * 4,
         )
         cache_scale = ws_lines * self.line_bytes / working_set
-        for w in range(resident):
-            addresses = self._addresses(invocation, w, n_mem, ws_lines, rng)
-            warps.append(WarpTrace(kinds=kinds.copy(), addresses=addresses))
+        addresses = (
+            self._address_lines(invocation, resident, n_mem, ws_lines, rng)
+            * self.line_bytes
+        )
+        warps = [WarpTrace(kinds=kinds, addresses=row) for row in addresses]
 
         # Extrapolation: waves across the GPU x untraced loop iterations
         # x untraced resident warps.

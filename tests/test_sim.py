@@ -1,10 +1,13 @@
 """Tests for the cycle-level GPU simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.hardware import RTX_2080, GPUConfig
 from repro.sim import (
+    BatchPolicy,
     Cache,
     DramModel,
     GpuSimulator,
@@ -12,6 +15,8 @@ from repro.sim import (
     Op,
     StreamingMultiprocessor,
     TraceGenerator,
+    WarpTrace,
+    execute_wave_batch,
 )
 from repro.sim.stats import SimStats
 from repro.workloads import LaunchContext
@@ -402,3 +407,218 @@ class TestBatchedWorkloadSimulation:
         assert by_index is res.cycles_by_index()  # memoized
         assert set(by_index) == {r.invocation_index for r in res.kernel_results}
         assert sum(by_index.values()) == total
+
+
+# -- lock-step trace generation (SIM_VERSION 2) --------------------------------
+HOT, WARM, RANDOM, STREAM = range(4)
+
+
+def _trace_rng(invocation, seed):
+    return np.random.default_rng(
+        (seed * 0x9E3779B9 + invocation.index * 0x85EBCA6B) & 0xFFFFFFFF
+    )
+
+
+def _geometry(invocation, resident, n_mem):
+    ws_lines = max(64, n_mem * max(resident, 1))
+    locality = invocation.context.locality
+    p_hot = 0.35 * locality
+    return (
+        ws_lines,
+        max(2, int(round(ws_lines * 0.01))),
+        max(4, int(round(ws_lines * 0.2))),
+        p_hot,
+        p_hot + 0.55 * locality + 0.15,
+    )
+
+
+def reference_lines(invocation, seed, resident, n_mem):
+    """The SIM_VERSION 1 generator: one rng pass per warp, warp by warp.
+
+    Kept as the distribution reference for the lock-step generator.
+    Returns (line numbers, address classes), both ``[resident, n_mem]``.
+    """
+    ws_lines, hot_lines, warm_lines, p_hot, p_warm = _geometry(
+        invocation, resident, n_mem
+    )
+    rng = _trace_rng(invocation, seed)
+    lines = np.empty((resident, n_mem), dtype=np.int64)
+    classes = np.empty((resident, n_mem), dtype=np.int8)
+    for w in range(resident):
+        u = rng.random(n_mem)
+        hot = u < p_hot
+        warm = ~hot & (u < p_warm)
+        cold = ~hot & ~warm
+        rand = cold & (rng.random(n_mem) < invocation.spec.memory.random_fraction)
+        stream = cold & ~rand
+        row = lines[w]
+        if hot.any():
+            row[hot] = rng.integers(0, hot_lines, size=int(hot.sum()))
+        if warm.any():
+            row[warm] = hot_lines + rng.integers(0, warm_lines, size=int(warm.sum()))
+        if rand.any():
+            row[rand] = rng.integers(0, ws_lines, size=int(rand.sum()))
+        base = max(1, (w * 7919) % ws_lines)
+        row[stream] = (base + np.arange(int(stream.sum()))) % ws_lines
+        classes[w] = np.select([hot, warm, rand], [HOT, WARM, RANDOM], STREAM)
+    return lines, classes
+
+
+def lockstep_classes(invocation, seed, resident, n_mem):
+    """Address classes of the lock-step generator, re-drawn in its
+    documented order: every slot's class uniforms, then every slot's
+    random-access uniforms, both shaped ``[resident, n_mem]``."""
+    _, _, _, p_hot, p_warm = _geometry(invocation, resident, n_mem)
+    rng = _trace_rng(invocation, seed)
+    u = rng.random((resident, n_mem))
+    rand_u = rng.random((resident, n_mem))
+    hot = u < p_hot
+    warm = ~hot & (u < p_warm)
+    rand = ~hot & ~warm & (rand_u < invocation.spec.memory.random_fraction)
+    return np.select([hot, warm, rand], [HOT, WARM, RANDOM], STREAM)
+
+
+def _trace_lines(trace, line_bytes):
+    return np.array([w.addresses for w in trace.warps], dtype=np.int64) // line_bytes
+
+
+@pytest.fixture(scope="module")
+def casio_traces():
+    """CASIO at scale 0.001, seed 1: every invocation's lock-step trace."""
+    from repro.workloads import load_suite
+
+    sim = GpuSimulator(RTX_2080)
+    workloads = load_suite("casio", scale=0.001, seed=1)
+    invocations = [w.invocation(i) for w in workloads for i in range(len(w))]
+    traces = [sim.tracer.generate(inv, seed=1) for inv in invocations]
+    return sim, invocations, traces
+
+
+class TestLockstepTraceGeneration:
+    def test_class_fractions_match_per_warp_reference(self, casio_traces):
+        sim, invocations, traces = casio_traces
+        # Invocations with the same index draw from the same rng stream
+        # whatever their workload, so they are one cluster: per-cluster
+        # count differences are independent with mean zero when both
+        # generators draw each slot's class with the same probabilities.
+        diff = {}
+        counts = np.zeros(4)
+        for inv, trace in zip(invocations, traces):
+            resident, n_mem = len(trace.warps), len(trace.warps[0].addresses)
+            new = np.bincount(
+                lockstep_classes(inv, 1, resident, n_mem).ravel(), minlength=4
+            )
+            ref = np.bincount(
+                reference_lines(inv, 1, resident, n_mem)[1].ravel(), minlength=4
+            )
+            diff[inv.index] = diff.get(inv.index, 0) + new - ref
+            counts += new
+        d = np.array(list(diff.values()), dtype=np.float64)
+        assert len(d) > 50 and counts.sum() > 100_000
+        assert np.all(np.abs(d.sum(axis=0)) <= 5 * np.sqrt((d**2).sum(axis=0)))
+        assert np.all(np.abs(d.sum(axis=0)) / counts.sum() < 0.01)
+        assert np.all(counts > 0)
+
+    def test_each_class_lands_in_its_region(self, casio_traces):
+        sim, invocations, traces = casio_traces
+        line_bytes = sim.config.cache_line_bytes
+        for inv, trace in zip(invocations[::7], traces[::7]):
+            lines = _trace_lines(trace, line_bytes)
+            resident, n_mem = lines.shape
+            ws_lines, hot_lines, warm_lines, _, _ = _geometry(inv, resident, n_mem)
+            classes = lockstep_classes(inv, 1, resident, n_mem)
+            assert np.all(lines[classes == HOT] < hot_lines)
+            warm = lines[classes == WARM]
+            assert np.all((warm >= hot_lines) & (warm < hot_lines + warm_lines))
+            assert np.all((lines >= 0) & (lines < ws_lines))
+
+    def test_streaming_lines_walk_from_each_warps_base(self, casio_traces):
+        sim, invocations, traces = casio_traces
+        line_bytes = sim.config.cache_line_bytes
+        walked = 0
+        for inv, trace in zip(invocations, traces):
+            lines = _trace_lines(trace, line_bytes)
+            resident, n_mem = lines.shape
+            ws_lines = _geometry(inv, resident, n_mem)[0]
+            stream = lockstep_classes(inv, 1, resident, n_mem) == STREAM
+            for w in range(resident):
+                got = lines[w][stream[w]]
+                base = max(1, (w * 7919) % ws_lines)
+                assert np.array_equal(got, (base + np.arange(len(got))) % ws_lines)
+                walked += len(got)
+        assert walked > 0
+
+    def test_suite_wave_cycles_match_per_warp_reference(self, casio_traces):
+        sim, invocations, traces = casio_traces
+        line_bytes = sim.config.cache_line_bytes
+        reference = []
+        for inv, trace in zip(invocations, traces):
+            resident, n_mem = len(trace.warps), len(trace.warps[0].addresses)
+            lines, _ = reference_lines(inv, 1, resident, n_mem)
+            kinds = trace.warps[0].kinds
+            reference.append(dataclasses.replace(trace, warps=[
+                WarpTrace(kinds=kinds.copy(), addresses=row * line_bytes)
+                for row in lines
+            ]))
+        new, _ = execute_wave_batch(traces, sim.latencies, sim.config)
+        old, _ = execute_wave_batch(reference, sim.latencies, sim.config)
+        new_total = sum(cycles for cycles, _ in new)
+        old_total = sum(cycles for cycles, _ in old)
+        assert abs(new_total / old_total - 1.0) < 0.01
+
+    def test_kinds_stream_is_shared_and_read_only(self, casio_traces):
+        _, _, traces = casio_traces
+        trace = traces[0]
+        kinds = trace.warps[0].kinds
+        assert all(w.kinds is kinds for w in trace.warps)
+        assert not kinds.flags.writeable
+        with pytest.raises(ValueError):
+            kinds[0] = Op.FP32
+
+    def test_trace_independent_of_generation_context(self):
+        """Alone, in reverse lane order, or inside a pooled multi-workload
+        simulation: a trace depends only on (invocation, seed, geometry)."""
+        from repro.workloads import load_workload
+
+        workloads = [
+            load_workload("rodinia", "bfs", scale=0.2, seed=0),
+            load_workload("casio", "dlrm", scale=0.001, seed=1),
+        ]
+        requests = [(workloads[0], None, 4), (workloads[1], [2, 0, 2, 5], 9)]
+        lanes = [
+            (w, i, seed)
+            for w, indices, seed in requests
+            for i in (range(len(w)) if indices is None else dict.fromkeys(indices))
+        ]
+
+        def alone(w, i, seed):
+            return GpuSimulator(RTX_2080).tracer.generate(w.invocation(i), seed=seed)
+
+        reverse_tracer = GpuSimulator(RTX_2080).tracer
+        reversed_traces = {
+            (w.name, i, seed): reverse_tracer.generate(w.invocation(i), seed=seed)
+            for w, i, seed in reversed(lanes)
+        }
+
+        pooled = GpuSimulator(RTX_2080, batch_policy=BatchPolicy(min_width=2))
+        seen = {}
+        generate = pooled.tracer.generate
+
+        def recording(invocation, seed=0):
+            trace = generate(invocation, seed=seed)
+            seen[(invocation.index, seed)] = trace
+            return trace
+
+        pooled.tracer.generate = recording
+        pooled.simulate_workloads(requests)
+        assert len(seen) == len(lanes)
+
+        for w, i, seed in lanes:
+            want = alone(w, i, seed)
+            for got in (reversed_traces[(w.name, i, seed)], seen[(i, seed)]):
+                assert got.extrapolation == want.extrapolation
+                assert got.cache_scale == want.cache_scale
+                assert len(got.warps) == len(want.warps)
+                for a, b in zip(got.warps, want.warps):
+                    assert np.array_equal(a.kinds, b.kinds)
+                    assert np.array_equal(a.addresses, b.addresses)
