@@ -109,6 +109,7 @@ def write_bench_report(
     ``run_id`` so histories group correctly.
     """
     from repro import obs
+    from repro.obs.resource import process_age_s
 
     payload = dict(payload)
     payload.setdefault("schema_version", BENCH_SCHEMA_VERSION)
@@ -125,6 +126,11 @@ def write_bench_report(
             config=dict(config or {}),
             extra_metrics=dict(metrics or {}),
         )
+        # The whole bench process, imports included, so `repro obs
+        # check` can hold it to `max_wall_s`.
+        wall_s = process_age_s()
+        if wall_s is not None:
+            record.timing["wall_s"] = round(wall_s, 3)
         ledger = obs.RunLedger(runs_dir)
         ledger.append(record)
         print(f"ledger: run {record.run_id} appended to {ledger.path}")

@@ -80,7 +80,9 @@ def _entry_checksum(arrays: Iterable[np.ndarray]) -> str:
 #: replayed against a newer simulator.
 #: v2 draws each invocation's address streams for all resident warps in
 #: one lock-step pass (see ``TraceGenerator._address_lines``).
-SIM_VERSION = 2
+#: v3 draws each invocation's noise factor from a counter-based SplitMix64
+#: hash of the full 64-bit (seed, index) (see :mod:`repro.sim.noise`).
+SIM_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -34,34 +34,31 @@ import math
 import threading
 from typing import Dict, List, Tuple
 
+from ..seeding import MASK64, SPLITMIX64_GAMMA, splitmix64
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: Reservoir capacity per histogram; plenty for stable p50/p90/p99.
 _RESERVOIR_SIZE = 4096
 
-_MASK64 = (1 << 64) - 1
-
 
 class _SplitMix64:
     """Tiny deterministic PRNG for reservoir replacement.
 
-    Implemented inline (Sebastiano Vigna's SplitMix64) so observability
-    never touches the stdlib ``random`` module or any NumPy generator:
-    the stream is a pure function of the seed, per histogram.
+    A SplitMix64 stream over :func:`repro.seeding.splitmix64`, so
+    observability never touches the stdlib ``random`` module or any
+    NumPy generator: the stream is a pure function of the seed, per
+    histogram.
     """
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = seed & MASK64
 
     def randrange(self, n: int) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        return z % n
+        self._state = (self._state + SPLITMIX64_GAMMA) & MASK64
+        return splitmix64(self._state) % n
 
 
 class Counter:

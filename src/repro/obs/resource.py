@@ -23,7 +23,7 @@ import threading
 import time
 from typing import Dict, Optional
 
-__all__ = ["ResourceMonitor", "read_rss_kb"]
+__all__ = ["ResourceMonitor", "process_age_s", "read_rss_kb"]
 
 _PROC_STATUS = "/proc/self/status"
 
@@ -55,6 +55,24 @@ def _rusage_maxrss_kb() -> Optional[int]:
 def read_rss_kb() -> Optional[int]:
     """Current resident set size in KiB, or None when unobservable."""
     return _read_status_kb("VmRSS")
+
+
+def process_age_s() -> Optional[float]:
+    """Seconds since this process started, imports included, or None.
+
+    The kernel's start tick (``/proc/self/stat`` field 22) against
+    ``/proc/uptime``, both at clock-tick (~10 ms) resolution; None on
+    hosts without ``/proc``.
+    """
+    try:
+        with open("/proc/self/stat", "r", encoding="ascii") as fh:
+            # Fields after the parenthesised command name start at 3.
+            start_ticks = int(fh.read().rsplit(")", 1)[1].split()[19])
+        with open("/proc/uptime", "r", encoding="ascii") as fh:
+            uptime_s = float(fh.read().split()[0])
+    except (OSError, ValueError, IndexError):
+        return None
+    return max(0.0, uptime_s - start_ticks / os.sysconf("SC_CLK_TCK"))
 
 
 class ResourceMonitor:

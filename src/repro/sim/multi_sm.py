@@ -26,6 +26,7 @@ from ..hardware.gpu_config import GPUConfig
 from ..workloads.workload import Workload
 from .cache import Cache
 from .memory import DramModel
+from .noise import noise_factors
 from .sm import LatencyTable, StreamingMultiprocessor
 from .simulator import KernelSimResult
 from .stats import SimStats
@@ -184,12 +185,7 @@ class MultiSmSimulator:
         # Extrapolate: the group covered num_detailed_sms SMs of one wave.
         base = traces[0]
         extrapolation = base.extrapolation / 1.0  # waves already per-GPU
-        rng = np.random.default_rng((seed * 0x9E3779B9 + index) & 0xFFFFFFFF)
-        noise = (
-            float(np.exp(rng.standard_normal() * self.noise - 0.5 * self.noise**2))
-            if self.noise
-            else 1.0
-        )
+        noise = float(noise_factors(seed, [index], self.noise)[0])
         launch_cycles = self.config.launch_overhead_us * self.config.cycles_per_us()
         cycles = (wave_cycles * extrapolation + launch_cycles) * noise
         factor = extrapolation * self.config.num_sms / self.num_detailed_sms

@@ -233,9 +233,9 @@ class _SimulatorTier:
     ) -> WorkloadSimResult:
         """Post-process one request's raw results into its final result."""
         n = len(index_list)
-        # Vectorized replication of the per-index keyed generators;
-        # bit-identical to ``GpuSimulator._noise_factor`` per slot (see
-        # :mod:`repro.sim.noise`).
+        # Counter-based noise: each slot's factor is a pure function of
+        # (seed, index), so this one array call gives the same bits as the
+        # scalar path's one-index call (see :mod:`repro.sim.noise`).
         noises = noise_factors(seed, index_list, self.noise)
 
         if n:
@@ -407,18 +407,11 @@ class GpuSimulator(_SimulatorTier):
         stats.l1_misses = l1.stats.misses
         return wave_cycles, stats
 
-    def _noise_factor(self, seed: int, index: int) -> float:
-        """Per-invocation hardware-noise multiplier (log-normal, mean 1)."""
-        if not self.noise:
-            return 1.0
-        rng = np.random.default_rng((seed * 0x9E3779B9 + index) & 0xFFFFFFFF)
-        return float(np.exp(rng.standard_normal() * self.noise - 0.5 * self.noise**2))
-
     def simulate_trace(self, trace: KernelTrace, seed: int = 0) -> KernelSimResult:
         wave_cycles, stats = self._execute_trace(trace)
 
         index = trace.invocation.index
-        noise = self._noise_factor(seed, index)
+        noise = float(noise_factors(seed, [index], self.noise)[0])
         launch_cycles = self.config.launch_overhead_us * self.config.cycles_per_us()
         cycles = (wave_cycles * trace.extrapolation + launch_cycles) * noise
         # Event counters cover the traced wave; scale them by the same

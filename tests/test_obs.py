@@ -143,6 +143,28 @@ class TestMetrics:
         # Percentiles still roughly track the true distribution.
         assert a.percentile(50) == pytest.approx(10_000, rel=0.1)
 
+    def test_histogram_reservoir_stream_pinned(self):
+        # Pinned: the reservoir's replacement stream (repro.seeding's
+        # SplitMix64) may not change, or obs snapshots change with it.
+        import hashlib
+
+        from repro.obs.metrics import _SplitMix64
+
+        h = obs.Histogram("h")
+        for v in range(10_000):
+            h.observe(float(v * 7 % 10_007))
+        reservoir = h._reservoir
+        digest = hashlib.sha256(json.dumps(reservoir).encode()).hexdigest()
+        assert digest[:16] == "aa0fcfde1a31e702"
+        assert reservoir[4090:] == [8616.0, 9750.0, 9721.0, 8637.0, 7670.0, 8135.0]
+        assert (h.percentile(50), h.percentile(90), h.percentile(99)) == (
+            5030.0, 8984.0, 9901.0
+        )
+        rng = _SplitMix64(0xC0FFEE)
+        assert [rng.randrange(2**64) for _ in range(3)] == [
+            14592251008053203194, 17069869281103512697, 9781417775987323851
+        ]
+
     def test_empty_histogram_snapshot(self):
         assert obs.Histogram("e").snapshot()["count"] == 0
 

@@ -381,6 +381,32 @@ class TestSloChecks:
         assert "✓" in render_violations([], checked=1)
 
 
+class TestBenchLedgerWallTime:
+    """Bench ledger records carry the bench process's real wall time."""
+
+    def test_bench_record_is_held_to_max_wall_s(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(
+            os.path.join(os.path.dirname(__file__), "..", "benchmarks")
+        )
+        from _shared import write_bench_report
+
+        from repro.obs.resource import process_age_s
+
+        runs = tmp_path / "runs"
+        monkeypatch.setenv(obs.RUNS_DIR_ENV, str(runs))
+        write_bench_report(
+            str(tmp_path / "BENCH_x.json"), {"rows": []}, command="bench_x"
+        )
+        (record,) = obs.RunLedger(str(runs)).read()
+        if process_age_s() is None:
+            pytest.skip("no /proc: process start time is unobservable")
+        wall = record.timing["wall_s"]
+        assert 0 < wall <= process_age_s() + 0.02
+        assert obs.check_record(record, obs.SloBudgets(max_wall_s=wall + 1)) == []
+        (breach,) = obs.check_record(record, obs.SloBudgets(max_wall_s=wall / 2))
+        assert breach.key == "timing.wall_s" and breach.actual == wall
+
+
 class TestSloLoading:
     def test_missing_pyproject_yields_empty_budgets(self, tmp_path):
         budgets = obs.load_slo_budgets(str(tmp_path / "nope.toml"))

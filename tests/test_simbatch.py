@@ -8,6 +8,10 @@ plans, degenerate batch shapes).  The scalar path stays available as the
 oracle, so every test here compares the two directly.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,7 +21,8 @@ from repro.memo import SimResultCache
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultInjector
 from repro.sim import BatchPolicy, GpuSimulator, execute_wave_batch, noise_factors
-from repro.sim.noise import uses_fallback
+from repro.seeding import SPLITMIX64_GAMMA, splitmix64
+from repro.sim.noise import standard_normals
 from repro.workloads import load_workload
 
 from .test_memo import results_equal
@@ -316,16 +321,36 @@ class TestCacheKeyLint:
         ], [f.format_text() for f in result.findings]
 
 
+class TestSeedDomain:
+    """Every Python int is a seed, on every path (taken mod 2**64)."""
+
+    @pytest.mark.parametrize("seed", [-1, 0, 7, 2**64 + 5])
+    def test_batch_equals_scalar_loop(self, seed):
+        workload = small_workload()
+        indices = [0, 3, 3, 1, 2, 5]
+        sim = GpuSimulator(RTX_2080, batch_policy=EAGER)
+        batched = sim.simulate_workload(workload, indices, seed=seed)
+        scalar = [sim.simulate_invocation(workload, i, seed=seed) for i in indices]
+        assert len(batched.kernel_results) == len(scalar)
+        for a, b in zip(batched.kernel_results, scalar):
+            assert a.invocation_index == b.invocation_index
+            assert a.cycles == b.cycles
+            assert a.wave_cycles == b.wave_cycles
+            assert a.extrapolation == b.extrapolation
+            assert a.stats.as_dict() == b.stats.as_dict()
+
+
+#: 200k draws: ten seeds x 20k consecutive indices.
+_SEEDS = range(10)
+_PER_SEED = 20_000
+
+
+def _z_by_seed():
+    return np.stack([standard_normals(seed, range(_PER_SEED)) for seed in _SEEDS])
+
+
 class TestNoiseFactors:
-    def test_bit_identical_to_scalar(self):
-        sim = GpuSimulator(RTX_2080, noise=0.02)
-        for seed in (0, 7, 123456):
-            indices = list(range(64)) + [10**6, 2**31 - 1]
-            batched = noise_factors(seed, indices, sim.noise)
-            scalar = np.array(
-                [sim._noise_factor(seed, i) for i in indices], dtype=np.float64
-            )
-            assert np.array_equal(batched, scalar)
+    """Distribution-level checks of the counter-based noise draw."""
 
     def test_zero_noise_is_ones(self):
         out = noise_factors(3, [0, 1, 2], 0.0)
@@ -334,9 +359,84 @@ class TestNoiseFactors:
     def test_empty(self):
         assert noise_factors(3, [], 0.02).shape == (0,)
 
-    def test_self_check_passed_on_this_numpy(self):
-        noise_factors(0, [0, 1], 0.02)
-        assert uses_fallback() is False
+    def test_standard_normal(self):
+        from scipy import stats
+
+        z = _z_by_seed().ravel()
+        n = z.size
+        assert stats.kstest(z, "norm").pvalue > 1e-3
+        assert abs(z.mean()) < 5 / np.sqrt(n)
+        assert abs(z.std() - 1.0) < 5 / np.sqrt(2 * n)
+
+    def test_factor_mean_one_and_log_std_noise(self):
+        noise = 0.02
+        factors = np.concatenate(
+            [noise_factors(seed, range(_PER_SEED), noise) for seed in _SEEDS]
+        )
+        n = factors.size
+        assert abs(factors.mean() - 1.0) < 5 * noise / np.sqrt(n)
+        assert abs(np.log(factors).std() / noise - 1.0) < 5 / np.sqrt(2 * n)
+
+    def test_adjacent_indices_and_seeds_uncorrelated(self):
+        z = _z_by_seed()
+        bound = 5 / np.sqrt(_PER_SEED)
+        for row in z:
+            assert abs(np.corrcoef(row[:-1], row[1:])[0, 1]) < bound
+        for a, b in zip(z[:-1], z[1:]):
+            assert abs(np.corrcoef(a, b)[0, 1]) < bound
+        # Seeds equal mod 2**32 were one stream under a 32-bit key.
+        far = standard_normals(2**32, range(_PER_SEED))
+        assert abs(np.corrcoef(z[0], far)[0, 1]) < bound
+
+    def test_factor_alone_equals_factor_in_array(self):
+        for seed in (0, 7, -1):
+            long = noise_factors(seed, range(1037), 0.02)
+            for i in (0, 1, 7, 8, 15, 16, 511, 1036):
+                assert noise_factors(seed, [i], 0.02)[0] == long[i]
+            for start, stop in ((3, 20), (100, 133), (1000, 1037)):
+                part = noise_factors(seed, range(start, stop), 0.02)
+                assert np.array_equal(part, long[start:stop])
+
+    def test_fresh_process_gives_same_bits(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "from repro.sim.noise import noise_factors; "
+            "print(noise_factors(123456789, range(500), 0.02).tobytes().hex())"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.strip()
+        assert out == noise_factors(123456789, range(500), 0.02).tobytes().hex()
+
+    def test_full_64_bit_key(self):
+        # (seed * 0x9E3779B9 + index) & 0xFFFFFFFF maps both to key 0x9E3779B9.
+        assert standard_normals(1, [0])[0] != standard_normals(0, [0x9E3779B9])[0]
+        assert standard_normals(-1, [0])[0] == standard_normals(2**64 - 1, [0])[0]
+        assert standard_normals(2**64 + 5, [3])[0] == standard_normals(5, [3])[0]
+
+    def test_golden_values(self):
+        # SplitMix64 reference vector: first output of the seed-0 stream.
+        assert splitmix64(SPLITMIX64_GAMMA) == 0xE220A8397B1DCDAF
+        words = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+        assert splitmix64(words).tolist() == [
+            splitmix64(0), splitmix64(1), splitmix64(2**64 - 1)
+        ] == [0, 6238072747940578789, 13029008266876403067]
+        # Rounding may differ across libm builds; the hash may not.
+        golden = {
+            (0, 0): (-0.452757740217458, 0.9907875423165258),
+            (0, 1): (2.650605812079669, 1.054231553524335),
+            (7, 10**6): (-0.24775125819505256, 0.9948582391758627),
+            (2**64 + 5, 3): (0.011090324786997504, 1.0000218067335034),
+        }
+        for (seed, index), (z, factor) in golden.items():
+            assert standard_normals(seed, [index])[0] == pytest.approx(z, rel=1e-12)
+            assert noise_factors(seed, [index], 0.02)[0] == pytest.approx(
+                factor, rel=1e-12
+            )
 
 
 class TestObservability:
