@@ -47,6 +47,7 @@ from .errors import (
     CheckpointError,
     EstimationError,
     InfeasibleProfilingError,
+    InvocationIndexError,
     ProfileValidationError,
     ReproError,
     SimulationFailure,
@@ -96,6 +97,7 @@ __all__ = [
     "ReproError",
     "InfeasibleProfilingError",
     "ProfileValidationError",
+    "InvocationIndexError",
     "SimulationFailure",
     "SimulationTimeout",
     "EstimationError",

@@ -68,8 +68,8 @@ Run ledger
 ----------
 Plan/estimate verbs (``sample``, ``compare``, ``report``, ``trace``,
 ``grid``, ``suite``, ``sweep``, ``dse``) append one schema-versioned
-run record — config fingerprint, git rev, per-phase self time, cache
-hit rates, requested vs achieved ε, peak RSS per worker — to
+run record — config fingerprint, git rev, import time, per-phase self
+time, cache hit rates, requested vs achieved ε, peak RSS per worker — to
 ``.repro/runs/ledger.jsonl``.  ``--runs-dir DIR`` moves it,
 ``--no-ledger`` (or an empty ``REPRO_RUNS_DIR``) disables it, and
 ``--run-label NAME`` names the run.  ``obs history``/``show`` inspect
@@ -1276,6 +1276,8 @@ def _dispatch(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # Process age on entry: interpreter start-up plus every import so far.
+    import_s = obs.resource.process_age_s()
     args = build_parser().parse_args(argv)
 
     trace_out = getattr(args, "trace_out", None)
@@ -1318,6 +1320,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             resources=monitor.snapshot(),
             status=status,
         )
+        if import_s is not None:
+            record.timing["import_s"] = round(import_s, 3)
         ledger = obs.RunLedger(runs_dir)
         ledger.append(record)
         print(f"ledger: run {record.run_id} appended to {ledger.path}",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ..errors import ReproError
 
@@ -25,6 +24,11 @@ __all__ = [
     "silhouette_score",
     "SILHOUETTE_MAX_POINTS",
 ]
+
+#: Kernel matrix entries per block of :func:`count_kde_peaks`' sum over
+#: the data (512 KiB of float64), so its memory stays flat however many
+#: values it is given.
+KDE_BLOCK_ENTRIES = 1 << 16
 
 #: Hard cap for :func:`silhouette_score` — beyond this the O(n^2)
 #: distance matrix (200+ MB at n=5000) stops being a diagnostic and
@@ -179,17 +183,35 @@ def count_kde_peaks(
 ) -> int:
     """Count modes of a 1-D sample via Gaussian KDE local maxima.
 
-    Peaks whose density is below ``min_prominence`` of the global maximum
-    are ignored.  Degenerate (constant) samples count as one peak.
+    The density is ``scipy.stats.gaussian_kde``'s, evaluated in numpy: a
+    Gaussian kernel of width ``factor * std(ddof=1)``, where ``factor``
+    is ``bandwidth`` or Scott's ``n ** -0.2`` when it is None, on a
+    ``grid_points`` grid spanning the data padded by 5% each side.  The
+    kernel is summed over blocks of the data, so memory does not grow
+    with ``len(values)``; the constant normalisation is left out, since
+    peaks and prominence are scale-free.  Peaks whose density is below
+    ``min_prominence`` of the global maximum are ignored.  Degenerate
+    (constant) samples count as one peak.
     """
     vals = np.asarray(values, dtype=np.float64)
     if len(vals) < 3 or np.ptp(vals) == 0:
         return 1 if len(vals) else 0
-    kde = _scipy_stats.gaussian_kde(vals, bw_method=bandwidth)
+    factor = len(vals) ** -0.2 if bandwidth is None else float(bandwidth)
+    if factor == 0:
+        raise ValueError("bandwidth must be non-zero")
+    width = factor * vals.std(ddof=1)
     lo, hi = vals.min(), vals.max()
     pad = 0.05 * (hi - lo)
     grid = np.linspace(lo - pad, hi + pad, grid_points)
-    density = kde(grid)
+    density = np.zeros(grid_points)
+    rows = max(1, KDE_BLOCK_ENTRIES // grid_points)
+    for start in range(0, len(vals), rows):
+        kernel = grid - vals[start:start + rows, None]
+        kernel /= width
+        np.square(kernel, out=kernel)
+        kernel *= -0.5
+        np.exp(kernel, out=kernel)
+        density += kernel.sum(axis=0)
     interior = density[1:-1]
     peaks = (interior > density[:-2]) & (interior >= density[2:])
     significant = interior > min_prominence * density.max()

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .. import obs
 
@@ -45,10 +45,16 @@ DEFAULT_EPSILON = 0.05
 
 
 def z_score(confidence: float) -> float:
-    """Two-sided standard score for a confidence level in (0, 1)."""
+    """Two-sided standard score for a confidence level in (0, 1).
+
+    The standard normal quantile at ``0.5 + confidence / 2``, from the
+    standard library's :class:`statistics.NormalDist` (Wichura's AS241
+    rational approximations), so the pipeline never imports scipy; it
+    agrees with ``scipy.stats.norm.ppf`` to within a few ulps.
+    """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    return float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 @dataclass(frozen=True)

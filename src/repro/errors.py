@@ -25,6 +25,7 @@ __all__ = [
     "ReproError",
     "InfeasibleProfilingError",
     "ProfileValidationError",
+    "InvocationIndexError",
     "SimulationFailure",
     "SimulationTimeout",
     "EstimationError",
@@ -58,6 +59,15 @@ class ProfileValidationError(ReproError, ValueError):
     def __init__(self, message: str, issues: Optional[List[str]] = None):
         super().__init__(message)
         self.issues: List[str] = list(issues or [])
+
+
+class InvocationIndexError(ReproError, IndexError):
+    """A launch index outside ``[0, len(workload))``.
+
+    Also an ``IndexError``, which an out-of-range index raised before;
+    negative indices are refused rather than wrapped, because a wrapped
+    invocation would carry the wrong launch label.
+    """
 
 
 class SimulationFailure(ReproError):

@@ -18,6 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import InvocationIndexError
 from .kernel import KernelInvocation, KernelSpec, LaunchContext
 
 __all__ = ["Workload", "WorkloadBuilder"]
@@ -77,7 +78,16 @@ class Workload:
         return len(self.spec_ids)
 
     def invocation(self, index: int) -> KernelInvocation:
-        """Materialize the invocation at launch position ``index``."""
+        """Materialize the invocation at launch position ``index``.
+
+        Raises :class:`~repro.errors.InvocationIndexError` unless
+        ``0 <= index < len(self)``.
+        """
+        if not 0 <= index < len(self.spec_ids):
+            raise InvocationIndexError(
+                f"invocation index {index} is outside [0, {len(self.spec_ids)}) "
+                f"for workload {self.name!r}"
+            )
         spec = self.specs[int(self.spec_ids[index])]
         context = LaunchContext(
             context_id=int(self.context_ids[index]),

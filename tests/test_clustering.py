@@ -98,6 +98,85 @@ class TestKdePeaks:
         assert count_kde_peaks(np.array([])) == 0
 
 
+def _scipy_kde_peaks(values, bandwidth=None, grid_points=256, min_prominence=0.02):
+    """The peak counter as it stood on ``scipy.stats.gaussian_kde``."""
+    from scipy.stats import gaussian_kde
+
+    vals = np.asarray(values, dtype=np.float64)
+    if len(vals) < 3 or np.ptp(vals) == 0:
+        return 1 if len(vals) else 0
+    lo, hi = vals.min(), vals.max()
+    pad = 0.05 * (hi - lo)
+    grid = np.linspace(lo - pad, hi + pad, grid_points)
+    density = gaussian_kde(vals, bw_method=bandwidth)(grid)
+    interior = density[1:-1]
+    peaks = (interior > density[:-2]) & (interior >= density[2:])
+    significant = interior > min_prominence * density.max()
+    return max(1, int(np.count_nonzero(peaks & significant)))
+
+
+def _fuzz_sample(seed):
+    """1-5 Gaussian modes; every third sample rounded to integer ties,
+    every third rescaled by 1000."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 6))
+    centers = rng.uniform(0.0, 20.0, k)
+    widths = rng.uniform(0.1, 2.0, k)
+    which = rng.integers(0, k, int(rng.integers(3, 400)))
+    values = rng.normal(centers[which], widths[which])
+    if seed % 3 == 1:
+        values = np.round(values)
+    elif seed % 3 == 2:
+        values = values * 1000.0
+    return values
+
+
+class TestKdeScipyParity:
+    """The numpy KDE counts the peaks scipy's ``gaussian_kde`` did."""
+
+    @pytest.mark.parametrize("bandwidth", [None, 0.1, 0.3])
+    def test_matches_scipy_on_seeded_fuzz_set(self, bandwidth):
+        mismatches = [
+            seed
+            for seed in range(300)
+            if count_kde_peaks(_fuzz_sample(seed), bandwidth=bandwidth)
+            != _scipy_kde_peaks(_fuzz_sample(seed), bandwidth=bandwidth)
+        ]
+        assert mismatches == []
+
+    def test_zero_bandwidth_is_rejected(self):
+        # scipy raised LinAlgError (a ValueError) on the singular kernel.
+        with pytest.raises(ValueError):
+            count_kde_peaks(np.array([1.0, 2.0, 3.0, 5.0]), bandwidth=0.0)
+
+    def test_fuzz_set_spans_one_to_many_peaks(self):
+        counts = {_scipy_kde_peaks(_fuzz_sample(seed)) for seed in range(300)}
+        assert {1, 2, 3, 4} <= counts
+
+    def test_large_input_memory_is_blocked(self):
+        """2M values never materialise an n x grid kernel matrix.
+
+        A 32-point grid keeps the test near a second: unblocked, its
+        matrix alone is 512 MB, 16x the bound (at the default 256 points
+        it would be 4 GB).  The bound leaves room for one n-length
+        temporary (16 MB, the variance) plus the blocks.
+        """
+        import tracemalloc
+
+        rng = np.random.default_rng(7)
+        values = np.concatenate(
+            [rng.normal(0.0, 1.0, 1_000_000), rng.normal(8.0, 1.0, 1_000_000)]
+        )
+        tracemalloc.start()
+        try:
+            peaks = count_kde_peaks(values, grid_points=32)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peaks == 2
+        assert peak_bytes < 32 * 2**20
+
+
 class TestSilhouette:
     def test_separated_clusters_score_high(self, rng):
         pts = np.concatenate([rng.normal(0, 0.1, 40), rng.normal(10, 0.1, 40)])

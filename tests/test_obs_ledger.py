@@ -10,7 +10,10 @@ Chrome-trace schema conformance, SLO budget checks, and the
 
 import json
 import os
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -634,6 +637,38 @@ class TestCliLedgerIntegration:
         assert first.metrics["counters"]
         assert first.timing["wall_s"] > 0
         assert first.timing["resource"]["wall_s"] > 0
+
+    def test_cli_record_carries_import_time(self, tmp_path):
+        """A fresh ``python -m repro`` records its start-up as import_s."""
+        import repro
+        from repro.obs.resource import process_age_s
+
+        if process_age_s() is None:
+            pytest.skip("no /proc: process start time is unobservable")
+        runs = str(tmp_path / "runs")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        started = time.monotonic()
+        subprocess.run(
+            [sys.executable, "-m", "repro", "sample", "rodinia", "bfs",
+             "--scale", "0.5", "--runs-dir", runs],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        elapsed = time.monotonic() - started
+        record = obs.RunLedger(runs).latest()
+        import_s = record.timing["import_s"]
+        assert 0.0 < import_s < elapsed
+
+    def test_import_time_omitted_without_proc(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(obs.resource, "process_age_s", lambda: None)
+        runs = str(tmp_path / "runs")
+        assert main(["sample", "rodinia", "bfs", "--scale", "0.5",
+                     "--runs-dir", runs]) == 0
+        capsys.readouterr()
+        record = obs.RunLedger(runs).latest()
+        assert "import_s" not in record.timing
+        assert record.timing["wall_s"] > 0
 
     def test_faulted_sample_records_epsilon_and_resilience(self, tmp_path,
                                                            capsys):

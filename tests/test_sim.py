@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.errors import InvocationIndexError, ReproError
 from repro.hardware import RTX_2080, GPUConfig
 from repro.sim import (
     BatchPolicy,
@@ -254,6 +255,22 @@ class TestGpuSimulator:
         w = flat_workload(n=10, seed=0)
         result = GpuSimulator(RTX_2080).simulate_workload(w, indices=[2, 7], seed=1)
         assert [r.invocation_index for r in result.kernel_results] == [2, 7]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sim, w: sim.simulate_invocation(w, -1),
+            lambda sim, w: sim.simulate_workload(w, [-1]),
+            lambda sim, w: sim.simulate_workload(w, [len(w)]),
+        ],
+        ids=["invocation-negative", "workload-negative", "workload-past-end"],
+    )
+    def test_out_of_range_index_raises_typed_error(self, call):
+        w = flat_workload(n=5, seed=0)
+        with pytest.raises(InvocationIndexError) as excinfo:
+            call(GpuSimulator(RTX_2080), w)
+        assert isinstance(excinfo.value, ReproError)
+        assert isinstance(excinfo.value, IndexError)
 
     def test_stats_merge(self):
         a = SimStats(cycles=10.0, instructions=5, l1_hits=2)

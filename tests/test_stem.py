@@ -69,6 +69,13 @@ class TestZScore:
         with pytest.raises(ValueError):
             z_score(1.0)
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999])
+    def test_matches_scipy_norm_ppf(self, confidence):
+        from scipy.stats import norm
+
+        expected = norm.ppf(0.5 + confidence / 2.0)
+        assert z_score(confidence) == pytest.approx(expected, rel=1e-12)
+
 
 class TestSingleClusterSampleSize:
     def test_matches_eq3(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import InvocationIndexError
 from repro.workloads import Workload, WorkloadBuilder
 from repro.workloads.generators.synthetic import make_kernel_spec
 
@@ -71,6 +72,12 @@ class TestWorkload:
         assert inv.context.work_scale == 2.0
         assert inv.context.efficiency == 0.5
         assert inv.index == 6
+
+    @pytest.mark.parametrize("index", [-1, -8, 8, 100])
+    def test_invocation_out_of_range_is_refused(self, index):
+        w = build_two_kernel_workload()
+        with pytest.raises(InvocationIndexError):
+            w.invocation(index)
 
     def test_invocations_iterator_full(self):
         w = build_two_kernel_workload()
